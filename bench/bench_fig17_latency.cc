@@ -4,7 +4,14 @@
 // Paper anchors: non-batched tail latency 3-9 µs depending on KV size and
 // op type; PUT above GET (extra memory access); skewed below uniform (NIC
 // DRAM hits); batching adds less than 1 µs while multiplying throughput.
+//
+// `--golden` runs one panel (a) cell (60 B, uniform GET, batched) plus the
+// panel (c) breakdown, for the byte-compare against bench/golden/. Either
+// mode exits nonzero when an opcode's stage total misses its end-to-end mean
+// by more than 1%.
+#include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "src/common/table_printer.h"
@@ -38,28 +45,42 @@ bench::DriveResult Measure(uint32_t kv_bytes, bool is_get, bool long_tail,
   return bench::Drive(server, workload, options);
 }
 
+std::string Cell(uint32_t kv, bool is_get, bool long_tail, bool batching,
+                 bench::JsonReport& report) {
+  const bench::DriveResult result = Measure(kv, is_get, long_tail, batching);
+  bench::AddDriveRow(report,
+                     {{"kv_bytes", kv},
+                      {"get_ratio", is_get ? 1.0 : 0.0},
+                      {"long_tail", long_tail ? 1.0 : 0.0}},
+                     result);
+  return TablePrinter::Num(result.latency_ns.mean() / 1000.0, 2) + " (" +
+         TablePrinter::Num(
+             static_cast<double>(result.latency_ns.Percentile(0.95)) / 1000.0,
+             1) +
+         ")";
+}
+
 void Panel(bool batching, bench::JsonReport& report) {
   std::printf("\n--- %s batching ---\n", batching ? "(a) with" : "(b) without");
   report.BeginSeries(batching ? "with_batching" : "without_batching");
   TablePrinter table({"kv_B", "GET_unif_us(p95)", "GET_skew_us(p95)",
                       "PUT_unif_us(p95)", "PUT_skew_us(p95)"});
   for (uint32_t kv : {13u, 23u, 60u, 124u, 252u}) {
-    auto cell = [&](bool is_get, bool long_tail) {
-      const bench::DriveResult result = Measure(kv, is_get, long_tail, batching);
-      bench::AddDriveRow(report,
-                         {{"kv_bytes", kv},
-                          {"get_ratio", is_get ? 1.0 : 0.0},
-                          {"long_tail", long_tail ? 1.0 : 0.0}},
-                         result);
-      return TablePrinter::Num(result.latency_ns.mean() / 1000.0, 2) + " (" +
-             TablePrinter::Num(
-                 static_cast<double>(result.latency_ns.Percentile(0.95)) / 1000.0,
-                 1) +
-             ")";
-    };
-    table.AddRow({TablePrinter::Int(kv), cell(true, false), cell(true, true),
-                  cell(false, false), cell(false, true)});
+    table.AddRow({TablePrinter::Int(kv), Cell(kv, true, false, batching, report),
+                  Cell(kv, true, true, batching, report),
+                  Cell(kv, false, false, batching, report),
+                  Cell(kv, false, true, batching, report)});
   }
+  table.Print();
+}
+
+// Golden mode: one panel (a) cell (60 B KVs, uniform GET, batched). Its row
+// is identical to the same cell of the full sweep.
+void GoldenPanel(bench::JsonReport& report) {
+  std::printf("\n--- (a) with batching, golden cell ---\n");
+  report.BeginSeries("with_batching");
+  TablePrinter table({"kv_B", "GET_unif_us(p95)"});
+  table.AddRow({TablePrinter::Int(60), Cell(60, true, false, true, report)});
   table.Print();
 }
 
@@ -68,8 +89,8 @@ void Panel(bool batching, bench::JsonReport& report) {
 // stages tile the client-send -> client-receive interval by construction, so
 // per opcode the average stage total must land within 1% of the measured
 // end-to-end mean (each stage rounds to ns independently, which is the only
-// slack).
-void Breakdown(bench::JsonReport& report) {
+// slack). Returns whether every opcode meets that bar.
+bool Breakdown(bench::JsonReport& report) {
   ServerConfig config;
   config.kvs_memory_bytes = 32 * kMiB;
   config.nic_dram.capacity_bytes = 4 * kMiB;
@@ -99,6 +120,7 @@ void Breakdown(bench::JsonReport& report) {
               LatencyBreakdownReport::Table(breakdown).c_str());
 
   report.BeginSeries("breakdown");
+  bool ok = true;
   for (size_t op = 0; op < LatencyBreakdown::kNumOpcodes; op++) {
     const Opcode opcode = static_cast<Opcode>(op);
     const LatencyHistogram& e2e = breakdown.EndToEnd(opcode);
@@ -126,7 +148,12 @@ void Breakdown(bench::JsonReport& report) {
     row.emplace_back("stage_sum_ns", stage_sum);
     row.emplace_back("e2e_ns", e2e.mean());
     report.AddRow(std::move(row));
+    const bool tiles = std::abs(stage_sum - e2e.mean()) <= 0.01 * e2e.mean();
+    std::printf("%s: stage sum %.2f ns vs end-to-end %.2f ns (within 1%%: %s)\n",
+                OpcodeName(opcode), stage_sum, e2e.mean(), tiles ? "yes" : "NO");
+    ok = ok && tiles;
   }
+  return ok;
 }
 
 }  // namespace
@@ -134,12 +161,21 @@ void Breakdown(bench::JsonReport& report) {
 
 int main(int argc, char** argv) {
   std::printf("\n=== Figure 17 — latency under peak YCSB load ===\n");
+  const bool golden = kvd::bench::GoldenArg(argc, argv);
   kvd::bench::JsonReport report("fig17_latency");
-  kvd::Panel(true, report);
-  kvd::Panel(false, report);
-  kvd::Breakdown(report);
+  if (golden) {
+    kvd::GoldenPanel(report);
+  } else {
+    kvd::Panel(true, report);
+    kvd::Panel(false, report);
+  }
+  const bool ok = kvd::Breakdown(report);
   std::printf(
       "\npaper: non-batched tail 3-9 us; PUT > GET; skewed < uniform;\n"
       "batching costs < 1 us extra per op\n");
-  return report.WriteIfRequested(kvd::bench::JsonPathArg(argc, argv)) ? 0 : 1;
+  if (!report.WriteIfRequested(kvd::bench::JsonPathArg(argc, argv))) {
+    return 1;
+  }
+  std::printf("stage totals within 1%% of end-to-end: %s\n", ok ? "PASS" : "FAIL");
+  return ok ? 0 : 1;
 }

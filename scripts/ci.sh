@@ -2,8 +2,9 @@
 # One-command CI gate: the tier-1 build + test pass, then the sanitizer
 # sweeps. Mirrors exactly what a reviewer runs by hand:
 #
-#   1. layering guard — the transport layer (src/transport) must hold the only
-#      copy of the framing/replay-dedup logic;
+#   1. layering guards — the transport layer (src/transport) must hold the
+#      only copy of the framing/replay-dedup logic, and request traces must be
+#      the only tracing pipeline;
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -29,6 +30,18 @@ leaks=$(grep -rnE 'ReplayEntry|0xf4a3e' src bench tests --include='*.h' --includ
 if [[ -n "${leaks}" ]]; then
   echo "framing/replay logic found outside src/transport:" >&2
   echo "${leaks}" >&2
+  exit 1
+fi
+
+echo "=== layering guard: one tracing pipeline ==="
+# Request traces (src/obs/request_trace.h) are the only event source; the
+# flight recorder renders them as Chrome/Perfetto JSON. A second tracer with
+# its own hooks in the hardware models must not come back.
+tracers=$(grep -rnE 'EventTracer|TraceEvent\b|SetTracer\(|\benable_tracing\b' \
+            src bench tests examples || true)
+if [[ -n "${tracers}" ]]; then
+  echo "second tracing pipeline found:" >&2
+  echo "${tracers}" >&2
   exit 1
 fi
 
@@ -74,7 +87,8 @@ trap 'rm -rf "${GOLDEN_TMP}"' EXIT
 "${BUILD_DIR}/bench/bench_replication"      --golden --json "${GOLDEN_TMP}/replication.json"      >/dev/null
 "${BUILD_DIR}/bench/bench_overload"         --golden --json "${GOLDEN_TMP}/overload.json"         >/dev/null
 "${BUILD_DIR}/bench/bench_rebalance"        --golden --json "${GOLDEN_TMP}/rebalance.json"        >/dev/null
-for golden in fig16_throughput chaos replication overload rebalance; do
+"${BUILD_DIR}/bench/bench_fig17_latency"    --golden --json "${GOLDEN_TMP}/fig17_latency.json"    >/dev/null
+for golden in fig16_throughput chaos replication overload rebalance fig17_latency; do
   cmp "bench/golden/${golden}.json" "${GOLDEN_TMP}/${golden}.json"
 done
 echo "golden rows byte-identical"

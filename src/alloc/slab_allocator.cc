@@ -25,9 +25,6 @@ size_t SlabAllocator::FetchFromHost(uint8_t cls) {
   }
   sync_stats_.sync_dma_reads++;
   sync_stats_.entries_fetched += fetched;
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Instant("slab", "sync_fetch", {{"class", cls}, {"entries", fetched}});
-  }
   for (size_t i = 0; i < fetched; i++) {
     nic_stacks_[cls].push_back(batch[i]);
   }
@@ -44,9 +41,6 @@ void SlabAllocator::FlushToHost(uint8_t cls) {
   stack.erase(stack.begin(), stack.begin() + static_cast<long>(count));
   sync_stats_.sync_dma_writes++;
   sync_stats_.entries_flushed += count;
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Instant("slab", "sync_flush", {{"class", cls}, {"entries", count}});
-  }
 }
 
 Result<uint64_t> SlabAllocator::Allocate(uint32_t bytes) {

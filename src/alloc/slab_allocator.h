@@ -20,7 +20,6 @@
 #include "src/alloc/host_daemon.h"
 #include "src/alloc/slab_config.h"
 #include "src/common/status.h"
-#include "src/obs/event_tracer.h"
 #include "src/obs/metric_registry.h"
 
 namespace kvd {
@@ -60,9 +59,8 @@ class SlabAllocator final : public Allocator {
   const SlabConfig& config() const { return config_; }
   const SyncStats& sync_stats() const { return sync_stats_; }
 
-  // Observability: counters backed by sync_stats_, instants for pool syncs.
+  // Observability: counters backed by sync_stats_.
   void RegisterMetrics(MetricRegistry& registry) const;
-  void SetTracer(EventTracer* tracer) { tracer_ = tracer; }
   HostDaemon& daemon() { return daemon_; }
   const HostDaemon& daemon() const { return daemon_; }
 
@@ -76,7 +74,6 @@ class SlabAllocator final : public Allocator {
   HostDaemon daemon_;
   std::vector<std::vector<uint64_t>> nic_stacks_;  // per class
   SyncStats sync_stats_;
-  EventTracer* tracer_ = nullptr;
 };
 
 }  // namespace kvd

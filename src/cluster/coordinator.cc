@@ -10,8 +10,6 @@
 namespace kvd {
 namespace {
 
-constexpr char kTraceCategory[] = "cluster";
-
 // Per-group fault-seed decorrelation, same recipe the pre-cluster sharded
 // deployment used: each group's fault stream is independent but each stays
 // deterministic under the cluster seed.
@@ -33,22 +31,18 @@ ClusterCoordinator::ClusterCoordinator(const ClusterConfig& config)
     : config_(config) {
   KVD_CHECK_MSG(config_.num_groups >= 1, "a cluster needs at least one group");
   KVD_CHECK_MSG(config_.num_partitions >= 1, "a cluster needs partitions");
-  tracer_.set_enabled(config_.enable_request_tracing);
   request_tracer_.set_enabled(config_.enable_request_tracing);
   flight_recorder_.Configure(config_.flight);
   flight_recorder_.set_enabled(config_.enable_request_tracing);
   flight_recorder_.SetRequestTracer(&request_tracer_);
   flight_recorder_.SetMetricRegistry(&metrics_);
-  flight_recorder_.SetEventTracer(&tracer_);
   request_tracer_.set_on_complete(
       [this](const OpTrace& trace) { flight_recorder_.OnTraceComplete(trace); });
 
   migration_fault_ = std::make_unique<FaultInjector>(config_.migration_faults);
-  migration_fault_->SetTracer(&tracer_);
   migration_fault_->SetFlightRecorder(&flight_recorder_);
   migration_net_ = std::make_unique<NetworkModel>(sim_, config_.migration_network);
   migration_net_->SetFaultInjector(migration_fault_.get());
-  migration_net_->SetTracer(&tracer_);
   migration_net_->SetRequestTracer(&request_tracer_);
 
   map_ = ShardMap::Initial(config_.num_partitions, config_.num_groups);
@@ -131,7 +125,6 @@ uint32_t ClusterCoordinator::AddGroup() {
   groups_.push_back(std::make_unique<ReplicationGroup>(group_config, &sim_));
   active_.push_back(1);
   WireGroup(index);
-  tracer_.Instant(kTraceCategory, "group_added", {{"group", index}});
   return index;
 }
 
@@ -150,7 +143,6 @@ Status ClusterCoordinator::RemoveGroup(uint32_t index) {
     return Status::InvalidArgument("group is part of an active migration");
   }
   active_[index] = 0;
-  tracer_.Instant(kTraceCategory, "group_removed", {{"group", index}});
   return Status::Ok();
 }
 
@@ -169,9 +161,6 @@ Status ClusterCoordinator::SplitPartitions() {
   // so pre-split load counts no longer describe any current partition.
   partition_ops_.assign(map_.num_partitions(), 0);
   RegisterPartitionGauges(old_partitions, map_.num_partitions());
-  tracer_.Instant(kTraceCategory, "split",
-                  {{"num_partitions", map_.num_partitions()},
-                   {"map_epoch", map_.epoch}});
   return Status::Ok();
 }
 
@@ -222,8 +211,6 @@ Status ClusterCoordinator::StartMigration(uint32_t partition,
         Opcode::kPut, (1ull << 62) | ++next_migration_trace_sequence_, 0);
   }
   stats_.migrations_started++;
-  tracer_.Instant(kTraceCategory, "migration_start",
-                  {{"partition", partition}, {"from", from}, {"to", to_group}});
   InstallSnapshot();
   SendCopyChunks();
   ArmRetransmitTimer();
@@ -284,10 +271,6 @@ void ClusterCoordinator::InstallSnapshot() {
   if (!chunk.kvs.empty()) {
     flush_chunk();
   }
-  tracer_.Instant(kTraceCategory, "copy_start",
-                  {{"partition", m.partition},
-                   {"chunks", static_cast<uint64_t>(m.chunks.size())},
-                   {"kvs", static_cast<uint64_t>(kvs.size())}});
 }
 
 void ClusterCoordinator::SendCopyChunks() {
@@ -440,9 +423,6 @@ void ClusterCoordinator::PollMigration() {
     case Migration::Phase::kCopy:
       if (m.acked >= m.chunks.size()) {
         m.phase = Migration::Phase::kCatchUp;
-        tracer_.Instant(kTraceCategory, "copy_done",
-                        {{"partition", m.partition},
-                         {"chunks", static_cast<uint64_t>(m.chunks.size())}});
       }
       break;
     case Migration::Phase::kCatchUp:
@@ -454,7 +434,6 @@ void ClusterCoordinator::PollMigration() {
         m.phase = Migration::Phase::kFrozen;
         m.writes_frozen = true;
         m.frozen_at = sim_.Now();
-        tracer_.Instant(kTraceCategory, "freeze", {{"partition", m.partition}});
       }
       break;
     case Migration::Phase::kFrozen:
@@ -549,12 +528,6 @@ void ClusterCoordinator::Flip() {
                          sim_.Now(), m.partition);
     request_tracer_.Finish(m.trace, ResultCode::kOk);
   }
-  tracer_.Instant(kTraceCategory, "cutover",
-                  {{"partition", m.partition},
-                   {"from", m.from},
-                   {"to", m.to},
-                   {"map_epoch", map_.epoch},
-                   {"elapsed_ns", elapsed_ns}});
   const std::string detail = "partition " + std::to_string(m.partition) +
                              " cut over to group " + std::to_string(m.to) +
                              " at map epoch " + std::to_string(map_.epoch);

@@ -228,7 +228,6 @@ class ClusterCoordinator {
   ClusterConfig config_;
   Simulator sim_;
   MetricRegistry metrics_;
-  EventTracer tracer_{sim_};
   RequestTracer request_tracer_{sim_};
   FlightRecorder flight_recorder_{sim_};
   std::unique_ptr<FaultInjector> migration_fault_;

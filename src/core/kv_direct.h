@@ -90,13 +90,11 @@ class KvDirectServer {
   // Every subsystem's counters, gauges, and histograms (Prometheus / JSON /
   // plain-text exposition).
   const MetricRegistry& metrics() const { return runtime_.metrics(); }
-  // Simulator event trace; enable via ServerConfig::enable_tracing or
-  // tracer().set_enabled(true).
-  EventTracer& tracer() { return runtime_.tracer(); }
-
-  // Request-tracing consumers. `request_tracer()` returns the *active* tracer
-  // — the owned one, or the external one after UseRequestTracer (replication
-  // groups share one tracer per group).
+  // Request-tracing consumers (enable via ServerConfig::enable_request_tracing).
+  // `request_tracer()` returns the *active* tracer — the owned one, or the
+  // external one after UseRequestTracer (replication groups share one tracer
+  // per group). The flight recorder renders its traces as Chrome/Perfetto
+  // JSON (FlightRecorder::ToChromeTraceJson).
   RequestTracer& request_tracer() { return runtime_.request_tracer(); }
   FlightRecorder& flight_recorder() { return runtime_.flight_recorder(); }
   LatencyBreakdown& breakdown() { return runtime_.breakdown(); }

@@ -176,9 +176,6 @@ void KvProcessor::Submit(KvOperation op, Completion done, OpClass cls) {
   if (decision == AdmissionController::Decision::kOverloaded) {
     // Fast-reject: refused before queueing and before the decode-cycle
     // charge — a saturated server spends no pipeline time on this op.
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant("proc", "overload_reject", {{"backlog", backlog()}});
-    }
     NoteBusyBurst();
     sim_.ScheduleAt(sim_.Now(), [done = std::move(done)]() mutable {
       KvResultMessage result;
@@ -190,9 +187,6 @@ void KvProcessor::Submit(KvOperation op, Completion done, OpClass cls) {
   if (decision == AdmissionController::Decision::kDeadlineExceeded) {
     // Dead on arrival: executing it is pure waste; answer immediately so the
     // client learns to stop retrying.
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant("proc", "deadline_shed_arrival", {{"op_deadline", op.deadline}});
-    }
     sim_.ScheduleAt(sim_.Now(), [done = std::move(done)]() mutable {
       KvResultMessage result;
       result.code = ResultCode::kDeadlineExceeded;
@@ -205,9 +199,6 @@ void KvProcessor::Submit(KvOperation op, Completion done, OpClass cls) {
     // one decode cycle instead of queueing without bound; clients back off
     // and retry (graceful degradation, not silent unbounded latency).
     stats_.busy_rejected++;
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant("proc", "busy_reject", {{"backlog", backlog()}});
-    }
     NoteBusyBurst();
     sim_.ScheduleAt(NextCycleTime(), [done = std::move(done)]() mutable {
       KvResultMessage result;
@@ -263,12 +254,6 @@ void KvProcessor::Pump() {
         if (deadline_shed && head.op.trace != 0 && request_tracer_ != nullptr) {
           request_tracer_->Span(head.op.trace, SpanKind::kDeadlineWait,
                                 head.enqueued_at, sim_.Now(), 0);
-        }
-        if (tracer_ != nullptr && tracer_->enabled()) {
-          tracer_->Instant("proc",
-                           deadline_shed ? "deadline_shed_queue" : "codel_shed",
-                           {{"sojourn_ns",
-                             (sim_.Now() - head.enqueued_at) / kNanosecond}});
         }
         sim_.ScheduleAt(NextCycleTime(),
                         [done = std::move(head.done), deadline_shed]() mutable {
@@ -331,15 +316,6 @@ void KvProcessor::Pump() {
         inflight.trace.push_back(
             {AccessKind::kWrite, slot_bucket_address_[slot], config_.slab_sync_bytes});
       }
-    }
-
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      const char* name = action == ReservationStation::Action::kIssueToPipeline
-                             ? "admit"
-                             : action == ReservationStation::Action::kFastPath
-                                   ? "fast_path"
-                                   : "park";
-      tracer_->Instant("station", name, {{"slot", slot}, {"op", id}});
     }
 
     switch (action) {
@@ -440,9 +416,6 @@ void KvProcessor::AdvanceSlot(uint16_t slot, uint64_t bucket_address) {
   if (station_.NeedsWriteback(slot)) {
     station_.BeginWriteback(slot);
     stats_.writebacks++;
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant("station", "writeback", {{"slot", slot}});
-    }
     // Cache write-back: one bucket-line write issued to the memory system.
     dispatcher_.Access(AccessKind::kWrite, bucket_address, kBucketBytes,
                        [this, slot, bucket_address] {
@@ -470,10 +443,6 @@ void KvProcessor::Retire(uint64_t id) {
   stats_.latency_ns.Add((sim_.Now() - inflight.submitted_at) / kNanosecond);
   if (inflight.op.trace != 0 && request_tracer_ != nullptr) {
     request_tracer_->Point(inflight.op.trace, TracePoint::kRetire);
-  }
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Complete("proc", "op", inflight.submitted_at, sim_.Now(),
-                      {{"op", id}, {"slot", inflight.slot}});
   }
   // Retirement-side deadline check: a read that expired in the pipeline is
   // relabeled kDeadlineExceeded (and its payload dropped) — nobody is

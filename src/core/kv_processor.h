@@ -38,7 +38,6 @@
 #include "src/hash/hash_index.h"
 #include "src/mem/access_engine.h"
 #include "src/net/kv_types.h"
-#include "src/obs/event_tracer.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metric_registry.h"
 #include "src/obs/request_trace.h"
@@ -106,7 +105,6 @@ class KvProcessor {
   // Registers processor and reservation-station counters (readers over the
   // live stats structs; no behavior change).
   void RegisterMetrics(MetricRegistry& registry) const;
-  void SetTracer(EventTracer* tracer) { tracer_ = tracer; }
   void SetRequestTracer(RequestTracer* tracer) { request_tracer_ = tracer; }
   // kBusy rejection bursts fire the flight recorder.
   void SetFlightRecorder(FlightRecorder* recorder) { flight_ = recorder; }
@@ -167,7 +165,6 @@ class KvProcessor {
   UpdateFunctionRegistry& registry_;
   KvProcessorConfig config_;
   const SyncStats* slab_sync_stats_ = nullptr;
-  EventTracer* tracer_ = nullptr;
   RequestTracer* request_tracer_ = nullptr;
   FlightRecorder* flight_ = nullptr;
   ReservationStation station_;

@@ -105,7 +105,6 @@ NodeRuntime::NodeRuntime(const ServerConfig& config, Simulator* external_sim)
   flight_recorder_.set_enabled(config.enable_request_tracing);
   flight_recorder_.SetRequestTracer(&request_tracer_);
   flight_recorder_.SetMetricRegistry(&metrics_);
-  flight_recorder_.SetEventTracer(&tracer_);
   request_tracer_.set_on_complete(
       [this](const OpTrace& trace) { active_flight_->OnTraceComplete(trace); });
   slo_monitor_.set_on_breach([this](const std::string& detail) {
@@ -129,26 +128,15 @@ NodeRuntime::NodeRuntime(const ServerConfig& config, Simulator* external_sim)
   }
 
   // Observability: every subsystem registers readers over its live stats into
-  // the shared registry and learns about the tracer. Neither changes timing.
-  tracer_.set_enabled(config.enable_tracing);
-  metrics_.RegisterCounter("kvd_events_dropped_total",
-                           "Events dropped at the EventTracer capacity limit",
-                           {}, [this] { return tracer_.dropped(); });
+  // the shared registry. Registration never changes timing.
   fault_->RegisterMetrics(metrics_);
-  fault_->SetTracer(&tracer_);
   processor_->RegisterMetrics(metrics_);
-  processor_->SetTracer(&tracer_);
   index_->RegisterMetrics(metrics_);
   allocator_->RegisterMetrics(metrics_);
-  allocator_->SetTracer(&tracer_);
   dispatcher_->RegisterMetrics(metrics_);
-  dispatcher_->SetTracer(&tracer_);
   dma_->RegisterMetrics(metrics_);
-  dma_->SetTracer(&tracer_);
   nic_dram_->RegisterMetrics(metrics_);
-  nic_dram_->SetTracer(&tracer_);
   network_->RegisterMetrics(metrics_);
-  network_->SetTracer(&tracer_);
 }
 
 void NodeRuntime::UseRequestTracer(RequestTracer* tracer) {

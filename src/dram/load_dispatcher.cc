@@ -73,12 +73,8 @@ std::function<void()> LoadDispatcher::TraceDone(uint64_t trace, uint64_t route,
 void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
                             std::function<void()> done, uint64_t op_trace) {
   KVD_CHECK(bytes > 0);
-  const bool trace = tracer_ != nullptr && tracer_->enabled();
   if (!IsCacheable(address)) {
     stats_.pcie_accesses++;
-    if (trace) {
-      tracer_->Instant("dispatch", "pcie", {{"bytes", bytes}});
-    }
     done = TraceDone(op_trace, kRoutePcie, std::move(done));
     if (kind == AccessKind::kRead) {
       dma_.Read(address, bytes, std::move(done), /*random_access=*/true,
@@ -95,9 +91,6 @@ void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
       // Uncorrectable ECC on the pinned copy: serve from host memory and
       // refill the DRAM line from there.
       stats_.ecc_demotions++;
-      if (trace) {
-        tracer_->Instant("dispatch", "ecc_demote", {{"bytes", bytes}});
-      }
       done = TraceDone(op_trace, kRouteEccDemotion, std::move(done));
       dma_.Read(
           address, bytes,
@@ -143,9 +136,6 @@ void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
       // like a read miss. Functional data lives in the processor model;
       // this charges the degradation's timing cost.
       stats_.ecc_demotions++;
-      if (trace) {
-        tracer_->Instant("dispatch", "ecc_demote", {{"bytes", bytes}});
-      }
       for (uint64_t offset = 0; offset < bytes; offset += kCacheLineBytes) {
         const uint64_t slot =
             ((address + offset) / kCacheLineBytes) % num_cache_lines_;
@@ -166,9 +156,6 @@ void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
       return;
     }
     stats_.dram_hits++;
-    if (trace) {
-      tracer_->Instant("dispatch", "hit", {{"bytes", bytes}});
-    }
     dram_.Access(bytes, TraceDone(op_trace, kRouteCacheHit, std::move(done)),
                  op_trace);
     return;
@@ -176,9 +163,6 @@ void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
 
   stats_.dram_misses++;
   stats_.writebacks += writebacks;
-  if (trace) {
-    tracer_->Instant("dispatch", "miss", {{"bytes", bytes}, {"writebacks", writebacks}});
-  }
   done = TraceDone(op_trace, kRouteCacheMiss, std::move(done));
   // Dirty evictions drain to host memory in the background (posted writes).
   for (uint32_t i = 0; i < writebacks; i++) {

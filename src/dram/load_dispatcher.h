@@ -30,7 +30,6 @@
 #include "src/common/units.h"
 #include "src/dram/nic_dram.h"
 #include "src/mem/access_engine.h"
-#include "src/obs/event_tracer.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metric_registry.h"
 #include "src/obs/request_trace.h"
@@ -83,7 +82,6 @@ class LoadDispatcher {
   const LoadDispatcherConfig& config() const { return config_; }
 
   void RegisterMetrics(MetricRegistry& registry) const;
-  void SetTracer(EventTracer* tracer) { tracer_ = tracer; }
   void SetRequestTracer(RequestTracer* tracer) { request_tracer_ = tracer; }
   // ECC demotions fire the flight recorder once the recovery read completes.
   void SetFlightRecorder(FlightRecorder* recorder) { flight_ = recorder; }
@@ -112,7 +110,6 @@ class LoadDispatcher {
   DmaEngine& dma_;
   NicDram& dram_;
   LoadDispatcherConfig config_;
-  EventTracer* tracer_ = nullptr;
   RequestTracer* request_tracer_ = nullptr;
   FlightRecorder* flight_ = nullptr;
   uint64_t cacheable_threshold_;  // dispatch ratio scaled to the hash range

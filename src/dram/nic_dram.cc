@@ -26,11 +26,6 @@ void NicDram::Access(uint32_t bytes, std::function<void()> done, uint64_t trace)
       std::llround(static_cast<double>(bytes) * picos_per_byte_));
   const SimTime start = std::max(sim_.Now(), channel_free_at_);
   channel_free_at_ = start + occupancy;
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Complete("nic_dram", "access", start,
-                      channel_free_at_ + config_.access_latency,
-                      {{"bytes", bytes}});
-  }
   if (trace != 0 && request_tracer_ != nullptr) {
     // The whole channel occupancy plus access latency is known at issue time.
     request_tracer_->Span(trace, SpanKind::kNicDramAccess, sim_.Now(),
@@ -84,10 +79,6 @@ EccReadOutcome NicDram::CheckLineRead(uint64_t address) {
     KVD_CHECK_MSG(result.status == EccDecodeStatus::kUncorrectable,
                   "double-bit flip must be detected as uncorrectable");
     uncorrectable_injected_++;
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant("nic_dram", "ecc_uncorrectable",
-                       {{"line", line_index}});
-    }
     return EccReadOutcome::kUncorrectable;
   }
   KVD_CHECK_MSG(result.status == EccDecodeStatus::kCorrectedSingle,

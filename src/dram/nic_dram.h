@@ -13,7 +13,6 @@
 
 #include "src/common/units.h"
 #include "src/fault/fault_injector.h"
-#include "src/obs/event_tracer.h"
 #include "src/obs/metric_registry.h"
 #include "src/obs/request_trace.h"
 #include "src/sim/simulator.h"
@@ -62,14 +61,12 @@ class NicDram {
   uint64_t ecc_uncorrectable_injected() const { return uncorrectable_injected_; }
 
   void RegisterMetrics(MetricRegistry& registry) const;
-  void SetTracer(EventTracer* tracer) { tracer_ = tracer; }
   void SetRequestTracer(RequestTracer* tracer) { request_tracer_ = tracer; }
   void SetFaultInjector(FaultInjector* injector) { fault_ = injector; }
 
  private:
   Simulator& sim_;
   NicDramConfig config_;
-  EventTracer* tracer_ = nullptr;
   RequestTracer* request_tracer_ = nullptr;
   FaultInjector* fault_ = nullptr;
   double picos_per_byte_;

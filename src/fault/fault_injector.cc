@@ -74,9 +74,6 @@ bool FaultInjector::ShouldInject(FaultSite site) {
   }
   if (inject) {
     stats.injected++;
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant("fault", FaultSiteName(site), {{"event", stats.events}});
-    }
     if (flight_ != nullptr && flight_->config().trigger_on_fault_injection) {
       flight_->Trigger(FlightTrigger::kFaultInjected, FaultSiteName(site));
     }

@@ -15,8 +15,8 @@ NetworkModel::NetworkModel(Simulator& sim, const NetworkConfig& config)
       picos_per_byte_(PicosPerByte(config.bandwidth_bytes_per_sec)) {}
 
 NetworkModel::WireInterval NetworkModel::Send(
-    const char* direction, uint32_t payload_bytes, SimTime& wire_free_at,
-    uint64_t& packets, uint64_t& bytes, std::function<void()> delivered) {
+    uint32_t payload_bytes, SimTime& wire_free_at, uint64_t& packets,
+    uint64_t& bytes, std::function<void()> delivered) {
   // Payloads above the MTU budget are segmented into multiple wire packets,
   // each paying the per-packet overhead; delivery fires when the last
   // segment arrives.
@@ -46,31 +46,26 @@ NetworkModel::WireInterval NetworkModel::Send(
   wire_free_at = start + occupancy;
   packets += num_packets;
   bytes += wire_bytes;
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Complete("net", direction, start, wire_free_at + latency,
-                      {{"payload_bytes", payload_bytes}, {"packets", num_packets}});
-  }
   sim_.ScheduleAt(wire_free_at + latency, std::move(delivered));
   return {start, wire_free_at + latency};
 }
 
 void NetworkModel::SendToServer(uint32_t payload_bytes,
                                 std::function<void()> delivered) {
-  Send("to_server", payload_bytes, to_server_free_at_, to_server_packets_,
-       to_server_bytes_, std::move(delivered));
+  Send(payload_bytes, to_server_free_at_, to_server_packets_, to_server_bytes_,
+       std::move(delivered));
 }
 
 void NetworkModel::SendToClient(uint32_t payload_bytes,
                                 std::function<void()> delivered) {
-  Send("to_client", payload_bytes, to_client_free_at_, to_client_packets_,
-       to_client_bytes_, std::move(delivered));
+  Send(payload_bytes, to_client_free_at_, to_client_packets_, to_client_bytes_,
+       std::move(delivered));
 }
 
 void NetworkModel::SendPayload(bool to_server, std::vector<uint8_t> payload,
                                PayloadHandler delivered,
                                const std::vector<uint64_t>* traces,
                                SpanKind kind) {
-  const char* direction = to_server ? "to_server" : "to_client";
   SimTime& free_at = to_server ? to_server_free_at_ : to_client_free_at_;
   uint64_t& packets = to_server ? to_server_packets_ : to_client_packets_;
   uint64_t& bytes = to_server ? to_server_bytes_ : to_client_bytes_;
@@ -90,7 +85,7 @@ void NetworkModel::SendPayload(bool to_server, std::vector<uint8_t> payload,
     // retry layer sees pure silence — exactly what a real partition looks
     // like from the sender's side.
     partition_dropped_++;
-    record(Send(direction, size, free_at, packets, bytes, [] {}));
+    record(Send(size, free_at, packets, bytes, [] {}));
     return;
   }
   if (health.loss_probability > 0.0 &&
@@ -98,7 +93,7 @@ void NetworkModel::SendPayload(bool to_server, std::vector<uint8_t> payload,
     // Gray loss: independent RNG stream, so scripting a gray link never
     // perturbs the fault injector's event sequences.
     gray_dropped_++;
-    record(Send(direction, size, free_at, packets, bytes, [] {}));
+    record(Send(size, free_at, packets, bytes, [] {}));
     return;
   }
   if (fault_ != nullptr) {
@@ -113,7 +108,7 @@ void NetworkModel::SendPayload(bool to_server, std::vector<uint8_t> payload,
     if (fault_->ShouldInject(drop)) {
       // The packet occupies the wire like any other, then vanishes.
       dropped_++;
-      record(Send(direction, size, free_at, packets, bytes, [] {}));
+      record(Send(size, free_at, packets, bytes, [] {}));
       return;
     }
     if (fault_->ShouldInject(duplicate)) {
@@ -122,11 +117,11 @@ void NetworkModel::SendPayload(bool to_server, std::vector<uint8_t> payload,
       duplicated_++;
       auto handler = std::make_shared<PayloadHandler>(std::move(delivered));
       std::vector<uint8_t> copy = payload;
-      record(Send(direction, size, free_at, packets, bytes,
+      record(Send(size, free_at, packets, bytes,
                   [handler, copy = std::move(copy)]() mutable {
                     (*handler)(std::move(copy));
                   }));
-      record(Send(direction, size, free_at, packets, bytes,
+      record(Send(size, free_at, packets, bytes,
                   [handler, payload = std::move(payload)]() mutable {
                     (*handler)(std::move(payload));
                   }));
@@ -137,7 +132,7 @@ void NetworkModel::SendPayload(bool to_server, std::vector<uint8_t> payload,
       fault_->CorruptBytes(payload, corrupt);
     }
   }
-  record(Send(direction, size, free_at, packets, bytes,
+  record(Send(size, free_at, packets, bytes,
               [payload = std::move(payload),
                delivered = std::move(delivered)]() mutable {
                 delivered(std::move(payload));

@@ -15,7 +15,6 @@
 #include "src/common/random.h"
 #include "src/common/units.h"
 #include "src/fault/fault_injector.h"
-#include "src/obs/event_tracer.h"
 #include "src/obs/metric_registry.h"
 #include "src/obs/request_trace.h"
 #include "src/sim/simulator.h"
@@ -101,7 +100,6 @@ class NetworkModel {
   }
 
   void RegisterMetrics(MetricRegistry& registry) const;
-  void SetTracer(EventTracer* tracer) { tracer_ = tracer; }
   void SetRequestTracer(RequestTracer* tracer) { request_tracer_ = tracer; }
   void SetFaultInjector(FaultInjector* injector) { fault_ = injector; }
 
@@ -119,8 +117,8 @@ class NetworkModel {
     SimTime start = 0;
     SimTime delivery = 0;
   };
-  WireInterval Send(const char* direction, uint32_t payload_bytes,
-                    SimTime& wire_free_at, uint64_t& packets, uint64_t& bytes,
+  WireInterval Send(uint32_t payload_bytes, SimTime& wire_free_at,
+                    uint64_t& packets, uint64_t& bytes,
                     std::function<void()> delivered);
   void SendPayload(bool to_server, std::vector<uint8_t> payload,
                    PayloadHandler delivered,
@@ -128,7 +126,6 @@ class NetworkModel {
 
   Simulator& sim_;
   NetworkConfig config_;
-  EventTracer* tracer_ = nullptr;
   RequestTracer* request_tracer_ = nullptr;
   FaultInjector* fault_ = nullptr;
   double picos_per_byte_;

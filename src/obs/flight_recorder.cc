@@ -71,27 +71,6 @@ std::string FlightRecorder::RenderDump(FlightTrigger trigger,
   } else {
     json.Null();
   }
-  json.Key("events").BeginArray();
-  if (events_ != nullptr) {
-    const std::vector<TraceEvent>& events = events_->events();
-    const size_t first = events.size() > config_.event_window
-                             ? events.size() - config_.event_window
-                             : 0;
-    for (size_t i = first; i < events.size(); i++) {
-      const TraceEvent& e = events[i];
-      json.BeginObject();
-      json.Field("name", std::string_view(e.name));
-      json.Field("cat", std::string_view(e.category));
-      char phase[2] = {e.phase, '\0'};
-      json.Field("ph", std::string_view(phase));
-      json.Field("start_ps", e.start);
-      if (e.phase == 'X') {
-        json.Field("dur_ps", e.duration);
-      }
-      json.EndObject();
-    }
-  }
-  json.EndArray();
   json.Key("metadata").BeginObject();
   json.Field("ring_capacity", static_cast<uint64_t>(config_.ring_capacity));
   if (tracer_ != nullptr) {
@@ -99,15 +78,88 @@ std::string FlightRecorder::RenderDump(FlightTrigger trigger,
                static_cast<uint64_t>(tracer_->LiveTraces().size()));
     json.Field("dropped_trace_records", tracer_->dropped());
   }
-  if (events_ != nullptr) {
-    json.Field("dropped_events", events_->dropped());
-    if (events_->dropped() > 0) {
-      json.Field("warning",
-                 std::string_view("event buffer overflowed; the event window "
-                                  "is incomplete"));
+  json.EndObject();
+  json.EndObject();
+  json.EndObject();
+  return json.TakeString();
+}
+
+std::string FlightRecorder::ToChromeTraceJson() const {
+  std::vector<const OpTrace*> traces;
+  for (const OpTrace& trace : ring_) {
+    traces.push_back(&trace);
+  }
+  if (tracer_ != nullptr) {
+    for (const OpTrace* trace : tracer_->LiveTraces()) {
+      traces.push_back(trace);
     }
   }
-  json.EndObject();
+
+  // Track (tid) 0 holds the stages; track 1 + kind holds each SpanKind.
+  // Metadata naming a track is emitted only for tracks that got a slice.
+  constexpr double kPicosPerMicro = 1e6;
+  std::array<bool, 1 + kNumSpanKinds> used{};
+  JsonWriter json;
+  json.BeginObject().Key("traceEvents").BeginArray();
+  // One complete ('X') slice; spans also carry their detail.
+  auto slice = [&](std::string_view name, size_t track, SimTime start,
+                   SimTime end, const OpTrace& trace, const uint64_t* detail) {
+    used[track] = true;
+    json.BeginObject();
+    json.Field("name", name);
+    json.Field("ph", std::string_view("X"));
+    json.Field("ts", static_cast<double>(start) / kPicosPerMicro);
+    json.Field("dur", static_cast<double>(end - start) / kPicosPerMicro);
+    json.Field("pid", uint64_t{0});
+    json.Field("tid", static_cast<uint64_t>(track));
+    json.Key("args").BeginObject();
+    json.Field("op", trace.id);
+    json.Field("opcode", std::string_view(OpcodeName(trace.opcode)));
+    if (detail != nullptr) {
+      json.Field("detail", *detail);
+    }
+    json.EndObject().EndObject();
+  };
+  for (const OpTrace* trace : traces) {
+    SimTime prev = OpTrace::kAbsent;
+    for (size_t i = 0; i < kNumTracePoints; i++) {
+      const SimTime at = trace->points[i];
+      if (at == OpTrace::kAbsent) {
+        continue;
+      }
+      if (prev != OpTrace::kAbsent) {
+        slice(StageName(static_cast<TracePoint>(i)), 0, prev, at, *trace,
+              nullptr);
+      }
+      prev = at;
+    }
+    for (const TraceSpan& span : trace->spans) {
+      slice(SpanKindName(span.kind), 1 + static_cast<size_t>(span.kind),
+            span.start, span.end, *trace, &span.detail);
+    }
+  }
+  for (size_t track = 0; track < used.size(); track++) {
+    if (!used[track]) {
+      continue;
+    }
+    json.BeginObject();
+    json.Field("name", std::string_view("thread_name"));
+    json.Field("ph", std::string_view("M"));
+    json.Field("pid", uint64_t{0});
+    json.Field("tid", static_cast<uint64_t>(track));
+    json.Key("args").BeginObject();
+    json.Field("name", std::string_view(
+                           track == 0 ? "stage"
+                                      : SpanKindName(static_cast<SpanKind>(
+                                            track - 1))));
+    json.EndObject().EndObject();
+  }
+  json.EndArray();
+  json.Field("displayTimeUnit", std::string_view("ns"));
+  json.Key("metadata").BeginObject();
+  json.Field("traces", static_cast<uint64_t>(traces.size()));
+  json.Field("dropped_trace_records",
+             tracer_ != nullptr ? tracer_->dropped() : uint64_t{0});
   json.EndObject();
   json.EndObject();
   return json.TakeString();

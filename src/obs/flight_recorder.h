@@ -4,10 +4,11 @@
 // election, a burst of kBusy rejections, or an SLO breach.
 //
 // A dump captures the completed-trace ring, the still-live traces (the ops in
-// flight at trigger time, span trees included), a metrics-registry snapshot,
-// and a recent window of EventTracer events. Everything runs on the simulated
-// clock, so same-seed runs produce bit-identical dumps — they double as
-// regression artifacts.
+// flight at trigger time, span trees included), and a metrics-registry
+// snapshot. The same traces render on demand as a Chrome/Perfetto timeline
+// (ToChromeTraceJson) — request traces are the only tracing pipeline.
+// Everything runs on the simulated clock, so same-seed runs produce
+// bit-identical dumps and timelines — they double as regression artifacts.
 #ifndef SRC_OBS_FLIGHT_RECORDER_H_
 #define SRC_OBS_FLIGHT_RECORDER_H_
 
@@ -20,7 +21,6 @@
 
 #include "src/common/status.h"
 #include "src/common/units.h"
-#include "src/obs/event_tracer.h"
 #include "src/obs/metric_registry.h"
 #include "src/obs/request_trace.h"
 #include "src/sim/simulator.h"
@@ -60,9 +60,8 @@ constexpr const char* FlightTriggerName(FlightTrigger trigger) {
 }
 
 struct FlightRecorderConfig {
-  size_t ring_capacity = 64;   // completed op traces kept
-  size_t event_window = 256;   // trailing EventTracer events per dump
-  size_t max_dumps = 8;        // hard cap on dumps per run
+  size_t ring_capacity = 64;  // completed op traces kept
+  size_t max_dumps = 8;       // hard cap on dumps per run
   // Each trigger kind fires at most once until Rearm() — a cascading failure
   // produces one dump per root cause instead of one per symptom.
   bool once_per_trigger = true;
@@ -88,7 +87,6 @@ class FlightRecorder {
   // Optional dump enrichments; all may be null.
   void SetRequestTracer(const RequestTracer* tracer) { tracer_ = tracer; }
   void SetMetricRegistry(const MetricRegistry* registry) { registry_ = registry; }
-  void SetEventTracer(const EventTracer* events) { events_ = events; }
 
   // Ring feed — wire as the RequestTracer's on_complete callback.
   void OnTraceComplete(const OpTrace& trace);
@@ -113,6 +111,13 @@ class FlightRecorder {
   uint64_t dumps_taken() const { return dumps_taken_; }
   size_t ring_size() const { return ring_.size(); }
 
+  // Chrome trace-event JSON ({"traceEvents":[...],"displayTimeUnit":"ns"},
+  // loadable in chrome://tracing or ui.perfetto.dev) of the completed ring
+  // plus the live traces: one "stage" track of the intervals between
+  // consecutive checkpoints, and one track per SpanKind. Timestamps are
+  // microseconds (the format's unit) with sub-microsecond fractions.
+  std::string ToChromeTraceJson() const;
+
   // kvd_flight_triggers / kvd_flight_dumps counters.
   void RegisterMetrics(MetricRegistry& registry);
 
@@ -124,7 +129,6 @@ class FlightRecorder {
   bool enabled_ = false;
   const RequestTracer* tracer_ = nullptr;
   const MetricRegistry* registry_ = nullptr;
-  const EventTracer* events_ = nullptr;
   std::deque<OpTrace> ring_;
   std::array<bool, kNumFlightTriggers> fired_{};
   std::vector<Dump> dumps_;

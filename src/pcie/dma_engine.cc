@@ -153,12 +153,6 @@ void DmaEngine::RegisterMetrics(MetricRegistry& registry) const {
   }
 }
 
-void DmaEngine::SetTracer(EventTracer* tracer) {
-  for (auto& link : links_) {
-    link->SetTracer(tracer);
-  }
-}
-
 LatencyHistogram DmaEngine::AggregateReadLatency() const {
   LatencyHistogram out;
   for (const auto& link : links_) {

@@ -47,10 +47,8 @@ class DmaEngine {
 
   const DmaEngineConfig& config() const { return config_; }
 
-  // Registers engine-level counters plus every link's metrics; forwards the
-  // tracer to the links.
+  // Registers engine-level counters plus every link's metrics.
   void RegisterMetrics(MetricRegistry& registry) const;
-  void SetTracer(EventTracer* tracer);
   void SetRequestTracer(RequestTracer* tracer) { request_tracer_ = tracer; }
   // Attaches fault injection for transient completion errors; each failed
   // TLP re-runs through the link (holding its tag) with a bounded budget.

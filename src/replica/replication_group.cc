@@ -12,8 +12,6 @@
 namespace kvd {
 namespace {
 
-constexpr char kTraceCategory[] = "replica";
-
 ReplicaMessage MakeMessage(ReplicaMessageType type, uint64_t epoch, uint32_t sender) {
   ReplicaMessage msg;
   msg.type = type;
@@ -33,9 +31,7 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
   KVD_CHECK_MSG(config_.EffectiveQuorum() >= 1 &&
                     config_.EffectiveQuorum() <= config_.num_replicas,
                 "quorum must fit the replica count");
-  tracer_.set_enabled(config_.enable_tracing);
   fault_ = std::make_unique<FaultInjector>(config_.faults);
-  fault_->SetTracer(&tracer_);
 
   // One tracer/recorder pair for the whole group: a write's trace spans the
   // primary's pipeline, the replication links, and the quorum wait, and must
@@ -48,7 +44,6 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
   flight_recorder_.set_enabled(config_.enable_request_tracing);
   flight_recorder_.SetRequestTracer(&request_tracer_);
   flight_recorder_.SetMetricRegistry(&metrics_);
-  flight_recorder_.SetEventTracer(&tracer_);
   request_tracer_.set_on_complete(
       [this](const OpTrace& trace) { flight_recorder_.OnTraceComplete(trace); });
   slo_monitor_.set_on_breach([this](const std::string& detail) {
@@ -72,7 +67,6 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
     rep->repl_net =
         std::make_unique<NetworkModel>(sim_, config_.replication_network);
     rep->repl_net->SetFaultInjector(fault_.get());
-    rep->repl_net->SetTracer(&tracer_);
     rep->repl_net->SetRequestTracer(&request_tracer_);
     rep->endpoint = std::make_unique<FrameEndpoint>(
         sim_, ReplayCache::Config{config_.replay_cache_entries,
@@ -225,8 +219,6 @@ void ReplicationGroup::CrashReplica(uint32_t id) {
   }
   rep.crashed = true;
   stats_.crashes++;
-  tracer_.Instant(kTraceCategory, "crash",
-                  {{"replica", id}, {"epoch", rep.current_epoch}});
   if (rep.is_primary) {
     failover_started_at_ = sim_.Now();
     failover_pending_ = true;
@@ -272,8 +264,6 @@ void ReplicationGroup::RestartReplica(uint32_t id) {
   // Grace period: don't suspect the primary before hearing from it once.
   rep.last_primary_contact = sim_.Now();
   stats_.restarts++;
-  tracer_.Instant(kTraceCategory, "restart",
-                  {{"replica", id}, {"log_end", rep.log.end()}});
 }
 
 // --- client path ---
@@ -361,10 +351,6 @@ void ReplicationGroup::HandleClientRequest(
       const bool wrong =
           decision.action == ShardGateDecision::Action::kWrongShard;
       (wrong ? stats_.wrong_shard_bounces : stats_.migrating_bounces)++;
-      tracer_.Instant(kTraceCategory, wrong ? "wrong_shard" : "migrating",
-                      {{"replica", rep.id},
-                       {"partition", request.partition},
-                       {"map_epoch", decision.map_epoch}});
       KvResultMessage bounce;
       bounce.code = wrong ? ResultCode::kWrongShard : ResultCode::kMigrating;
       bounce.epoch = static_cast<uint32_t>(rep.current_epoch);
@@ -383,8 +369,6 @@ void ReplicationGroup::HandleClientRequest(
   if (any_write) {
     if (!rep.is_primary) {
       stats_.redirects++;
-      tracer_.Instant(kTraceCategory, "redirect",
-                      {{"replica", rep.id}, {"primary", rep.believed_primary}});
       GroupResponse resp;
       resp.flags = kGroupRedirect;
       resp.epoch = rep.current_epoch;
@@ -408,10 +392,6 @@ void ReplicationGroup::HandleClientRequest(
   // so a served read can never expose a write that might still be discarded.
   if (rep.receiving_snapshot || rep.applied < request.required_index) {
     stats_.stale_reads++;
-    tracer_.Instant(kTraceCategory, "stale_read",
-                    {{"replica", rep.id},
-                     {"required", request.required_index},
-                     {"applied", rep.applied}});
     GroupResponse resp;
     resp.flags = kGroupStaleRead;
     resp.epoch = rep.current_epoch;
@@ -918,8 +898,6 @@ void ReplicationGroup::OnStateChunk(Replica& rep, const ReplicaMessage& msg) {
     rep.applied = msg.snapshot_index;  // the snapshot IS the applied state
     rep.receiving_snapshot = false;
     rep.expected_chunk = 0;
-    tracer_.Instant(kTraceCategory, "snapshot_installed",
-                    {{"replica", rep.id}, {"index", msg.snapshot_index}});
     RequestCatchup(rep, msg.sender);  // resume appends past the snapshot
   }
 }
@@ -1058,7 +1036,6 @@ void ReplicationGroup::EvaluateGrayPeers(Replica& primary) {
           primary.demoted[peer] = 0;
           primary.ok_since[peer] = 0;
           stats_.gray_reinstatements++;
-          tracer_.Instant(kTraceCategory, "gray_reinstate", {{"peer", peer}});
         }
       }
       continue;
@@ -1080,8 +1057,6 @@ void ReplicationGroup::EvaluateGrayPeers(Replica& primary) {
       primary.demoted[peer] = 1;
       stats_.gray_demotions++;
       demoted_someone = true;
-      tracer_.Instant(kTraceCategory, "gray_demote",
-                      {{"peer", peer}, {"lag", lag}});
     }
   }
   if (demoted_someone) {
@@ -1146,8 +1121,6 @@ void ReplicationGroup::StepDown(Replica& rep) {
   // Forget quorum-waiting responses and in-flight replay entries: every
   // retransmission must be re-evaluated (and redirected) by the new history.
   DropInFlight(rep);
-  tracer_.Instant(kTraceCategory, "step_down",
-                  {{"replica", rep.id}, {"epoch", rep.current_epoch}});
 }
 
 void ReplicationGroup::Promote(Replica& rep, uint64_t new_epoch) {
@@ -1202,8 +1175,6 @@ void ReplicationGroup::Promote(Replica& rep, uint64_t new_epoch) {
     stats_.last_failover_downtime_ns = downtime_ns;
     failover_pending_ = false;
   }
-  tracer_.Instant(kTraceCategory, "promote",
-                  {{"replica", rep.id}, {"epoch", new_epoch}});
   PushAppends(rep);
   TryAdvanceCommit(rep);
 }
@@ -1223,8 +1194,6 @@ void ReplicationGroup::StartElection(Replica& rep) {
   rep.current_epoch = ballot;
   rep.election_epoch = ballot;
   stats_.elections++;
-  tracer_.Instant(kTraceCategory, "election",
-                  {{"replica", rep.id}, {"ballot", ballot}});
   flight_recorder_.Trigger(
       FlightTrigger::kFailover,
       "replica " + std::to_string(rep.id) + " campaigns with ballot " +
@@ -1324,10 +1293,6 @@ void ReplicationGroup::StartStateTransfer(Replica& primary, uint32_t target) {
   primary.sending_snapshot = true;
   primary.snapshot_target = target;
   stats_.state_transfers++;
-  tracer_.Instant(kTraceCategory, "state_transfer",
-                  {{"from", primary.id},
-                   {"to", target},
-                   {"keys", static_cast<uint64_t>(primary.keys.size())}});
   BuildSnapshot(primary.id, primary.current_epoch);
 }
 

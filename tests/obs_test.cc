@@ -1,19 +1,18 @@
 // Tests for src/obs: the JSON writer, the metric registry and its three
-// exposition formats, the simulated-time sampler, and the event tracer with
-// Chrome trace export — plus an end-to-end YCSB-B run through KvDirectServer
-// exporting all of them.
+// exposition formats, the simulated-time sampler, and the flight recorder's
+// Chrome trace rendering of request traces — plus an end-to-end YCSB-B run
+// through KvDirectServer exporting all of them.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/common/units.h"
 #include "src/core/kv_direct.h"
-#include "src/obs/event_tracer.h"
+#include "src/obs/flight_recorder.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/metric_registry.h"
+#include "src/obs/request_trace.h"
 #include "src/obs/time_series_sampler.h"
 #include "src/sim/simulator.h"
 #include "src/workload/ycsb.h"
@@ -187,83 +186,73 @@ TEST(TimeSeriesSamplerTest, MaxSamplesLeavesQueueDrainable) {
   EXPECT_EQ(sampler.samples().size(), 5u);
 }
 
-TEST(EventTracerTest, DisabledRecordsNothing) {
+// The Chrome/Perfetto renderer over a hand-built trace: one named track per
+// record kind, microsecond timestamps with sub-microsecond fractions.
+TEST(ChromeTraceTest, RendersStagesAndSpansAsNamedTracks) {
   Simulator sim;
-  EventTracer tracer(sim);
-  EXPECT_FALSE(tracer.enabled());
-  tracer.Instant("cat", "evt");
-  tracer.Complete("cat", "span", 0, 100);
-  EXPECT_EQ(tracer.size(), 0u);
-}
+  RequestTracer tracer(sim);
+  FlightRecorder recorder(sim);
+  recorder.set_enabled(true);
+  recorder.SetRequestTracer(&tracer);
 
-TEST(EventTracerTest, ChromeTraceShape) {
-  Simulator sim;
-  EventTracer tracer(sim);
-  tracer.set_enabled(true);
-  sim.Schedule(2 * kMicrosecond, [&] {
-    tracer.Instant("station", "park", {{"slot", 3}});
-  });
-  sim.RunUntilIdle();
-  tracer.Complete("pcie", "dma_read", kMicrosecond, 3 * kMicrosecond,
-                  {{"bytes", 64}});
-  ASSERT_EQ(tracer.size(), 2u);
+  OpTrace trace;
+  trace.id = 7;
+  trace.opcode = Opcode::kGet;
+  trace.points[static_cast<size_t>(TracePoint::kClientSend)] = kMicrosecond;
+  trace.points[static_cast<size_t>(TracePoint::kServerReceive)] =
+      2500 * kNanosecond;
+  trace.points[static_cast<size_t>(TracePoint::kClientReceive)] =
+      4250 * kNanosecond;
+  trace.spans.push_back({SpanKind::kDmaTlp, 2500 * kNanosecond,
+                         3000 * kNanosecond + 500, 64});
+  recorder.OnTraceComplete(trace);
 
-  const std::string json = tracer.ToChromeTraceJson();
-  // Track metadata: one named lane per category.
-  EXPECT_NE(json.find("\"name\":\"thread_name\""), std::string::npos);
-  EXPECT_NE(json.find("{\"name\":\"pcie\"}"), std::string::npos);
-  EXPECT_NE(json.find("{\"name\":\"station\"}"), std::string::npos);
-  // The instant event: 2 us in, thread-scoped.
-  EXPECT_NE(json.find("\"name\":\"park\",\"cat\":\"station\",\"ph\":\"i\","
-                      "\"ts\":2,\"s\":\"t\""),
+  const std::string json = recorder.ToChromeTraceJson();
+  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
+  // Track metadata: the stage track and the one span kind present, nothing
+  // for span kinds without slices.
+  EXPECT_NE(json.find("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
+                      "\"tid\":0,\"args\":{\"name\":\"stage\"}}"),
             std::string::npos);
-  // The complete event: starts at 1 us, lasts 2 us.
-  EXPECT_NE(json.find("\"name\":\"dma_read\",\"cat\":\"pcie\",\"ph\":\"X\","
-                      "\"ts\":1,\"dur\":2"),
+  EXPECT_NE(json.find("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
+                      "\"tid\":4,\"args\":{\"name\":\"dma_tlp\"}}"),
             std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"bytes\":64}"), std::string::npos);
+  EXPECT_EQ(json.find("{\"name\":\"net_wire\"}"), std::string::npos);
+  // Stages tile the present checkpoints: 1 -> 2.5 -> 4.25 us.
+  EXPECT_NE(json.find("{\"name\":\"net_request\",\"ph\":\"X\",\"ts\":1,"
+                      "\"dur\":1.5,\"pid\":0,\"tid\":0,"
+                      "\"args\":{\"op\":7,\"opcode\":\"GET\"}}"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"net_response\",\"ph\":\"X\",\"ts\":2.5,"
+                      "\"dur\":1.75,"),
+            std::string::npos);
+  // The span keeps picosecond precision as a microsecond fraction.
+  EXPECT_NE(json.find("{\"name\":\"dma_tlp\",\"ph\":\"X\",\"ts\":2.5,"
+                      "\"dur\":0.5005,\"pid\":0,\"tid\":4,"
+                      "\"args\":{\"op\":7,\"opcode\":\"GET\",\"detail\":64}}"),
+            std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ns\""), std::string::npos);
+  EXPECT_NE(json.find("\"metadata\":{\"traces\":1,\"dropped_trace_records\":0}"),
+            std::string::npos);
 }
 
-TEST(EventTracerTest, BoundedBufferDropsNewest) {
-  Simulator sim;
-  EventTracer tracer(sim, /*max_events=*/3);
-  tracer.set_enabled(true);
-  for (int i = 0; i < 5; i++) {
-    tracer.Instant("cat", "evt");
-  }
-  EXPECT_EQ(tracer.size(), 3u);
-  EXPECT_EQ(tracer.dropped(), 2u);
-  tracer.Clear();
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.dropped(), 0u);
-}
+constexpr uint64_t kYcsbOps = 2000;
 
-TEST(EventTracerTest, WriteChromeTraceSmoke) {
-  Simulator sim;
-  EventTracer tracer(sim);
-  tracer.set_enabled(true);
-  tracer.Complete("net", "packet", 0, kMicrosecond);
-  const std::string path = ::testing::TempDir() + "/obs_trace.json";
-  ASSERT_TRUE(tracer.WriteChromeTrace(path).ok());
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  ASSERT_NE(file, nullptr);
-  char buf[16] = {};
-  ASSERT_GT(std::fread(buf, 1, sizeof(buf) - 1, file), 0u);
-  std::fclose(file);
-  EXPECT_EQ(std::strncmp(buf, "{\"traceEvents\"", 14), 0);
-  std::remove(path.c_str());
-}
-
-// Acceptance: a YCSB-B run through the full server exports per-subsystem
-// counters in Prometheus text and JSON, and a Perfetto-loadable trace.
-TEST(ObservabilityIntegrationTest, YcsbBExportsMetricsAndTrace) {
+// Request-traced server whose flight-recorder ring holds every op of a
+// kYcsbOps run, so the Chrome trace covers the whole run.
+ServerConfig TracedYcsbConfig() {
   ServerConfig config;
   config.kvs_memory_bytes = 4 * kMiB;
   config.nic_dram.capacity_bytes = 512 * kKiB;
-  config.enable_tracing = true;
-  KvDirectServer server(config);
+  config.enable_request_tracing = true;
+  config.flight.ring_capacity = kYcsbOps;
+  return config;
+}
 
+// Loads a YCSB-B corpus, then runs kYcsbOps ops through a framed client
+// (sampling `sampler`, when given, over the run).
+std::vector<KvResultMessage> RunYcsbB(KvDirectServer& server,
+                                      TimeSeriesSampler* sampler = nullptr) {
   WorkloadConfig wl;
   wl.num_keys = 2000;
   wl.value_bytes = 32;
@@ -272,21 +261,31 @@ TEST(ObservabilityIntegrationTest, YcsbBExportsMetricsAndTrace) {
   YcsbWorkload workload(wl);
   for (uint64_t id = 0; id < wl.num_keys; id++) {
     const KvOperation op = workload.LoadOpFor(id);
-    ASSERT_TRUE(server.Load(op.key, op.value).ok());
+    EXPECT_TRUE(server.Load(op.key, op.value).ok());
   }
-
-  TimeSeriesSampler sampler(server.simulator(), server.metrics(),
-                            {.interval = 5 * kMicrosecond});
-  sampler.Start();
-
+  if (sampler != nullptr) {
+    sampler->Start();
+  }
   Client client(server);
-  constexpr uint64_t kOps = 2000;
-  for (uint64_t i = 0; i < kOps; i++) {
+  for (uint64_t i = 0; i < kYcsbOps; i++) {
     client.Enqueue(workload.NextOp());
   }
-  const std::vector<KvResultMessage> results = client.Flush();
-  ASSERT_EQ(results.size(), kOps);
-  sampler.Stop();
+  std::vector<KvResultMessage> results = client.Flush();
+  if (sampler != nullptr) {
+    sampler->Stop();
+  }
+  return results;
+}
+
+// Acceptance: a YCSB-B run through the full server exports per-subsystem
+// counters in Prometheus text and JSON, and a Perfetto-loadable trace
+// rendered from its request traces.
+TEST(ObservabilityIntegrationTest, YcsbBExportsMetricsAndTrace) {
+  KvDirectServer server(TracedYcsbConfig());
+  TimeSeriesSampler sampler(server.simulator(), server.metrics(),
+                            {.interval = 5 * kMicrosecond});
+  constexpr uint64_t kOps = kYcsbOps;
+  ASSERT_EQ(RunYcsbB(server, &sampler).size(), kOps);
 
   const MetricRegistry& metrics = server.metrics();
   // Per-subsystem counters moved: fast-path ops, DMA bytes, dispatcher
@@ -321,14 +320,29 @@ TEST(ObservabilityIntegrationTest, YcsbBExportsMetricsAndTrace) {
   EXPECT_GT(sampler.samples().size(), 0u);
   EXPECT_NE(sampler.ToJson().find("kvd_proc_retired_total"), std::string::npos);
 
-  // The trace captured hardware events across categories.
-  EXPECT_GT(server.tracer().size(), 0u);
-  const std::string trace = server.tracer().ToChromeTraceJson();
-  for (const char* category : {"pcie", "dispatch", "station", "proc", "net"}) {
-    EXPECT_NE(trace.find("{\"name\":\"" + std::string(category) + "\"}"),
+  // The Chrome trace covers every op and has slices on the PCIe (dma_tlp),
+  // dispatcher (mem_access), station, processor-stage and network tracks
+  // (a track is named only when it holds a slice).
+  const std::string trace = server.flight_recorder().ToChromeTraceJson();
+  EXPECT_EQ(trace.rfind("{\"traceEvents\":[", 0), 0u);
+  EXPECT_NE(trace.find("\"traces\":" + std::to_string(kOps)), std::string::npos);
+  for (const char* track :
+       {"dma_tlp", "mem_access", "station_wait", "stage", "net_wire"}) {
+    EXPECT_NE(trace.find("\"args\":{\"name\":\"" + std::string(track) + "\"}"),
               std::string::npos)
-        << category;
+        << track;
   }
+}
+
+TEST(ObservabilityIntegrationTest, ChromeTraceIsByteIdenticalForSameSeed) {
+  auto render = [] {
+    KvDirectServer server(TracedYcsbConfig());
+    EXPECT_EQ(RunYcsbB(server).size(), kYcsbOps);
+    return server.flight_recorder().ToChromeTraceJson();
+  };
+  const std::string first = render();
+  EXPECT_GT(first.size(), 0u);
+  EXPECT_EQ(first, render());
 }
 
 }  // namespace

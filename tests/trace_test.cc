@@ -5,8 +5,8 @@
 // stages for writes), latency attribution (stage sums tile the end-to-end
 // interval), flight-recorder triggers (ECC demotion, primary crash, kBusy
 // bursts, SLO breaches) firing exactly once per cause, same-seed bit-identical
-// dumps, fuzz-style negative parsing of dump JSON, exact histogram merging,
-// and EventTracer drop surfacing.
+// dumps, fuzz-style negative parsing of dump JSON, and exact histogram
+// merging.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -612,32 +612,6 @@ TEST(ParseFlightDumpTest, OversizedSpanCountIsRejected) {
   // A hostile span count must hit the cap and error instead of allocating.
   ParsedFlightDump capped;
   EXPECT_FALSE(ParseFlightDump(json, &capped, /*max_spans=*/1).ok());
-}
-
-// --- EventTracer drop surfacing ---
-
-TEST(EventTracerDropTest, DropsAreCountedAndWarnedInTraceJson) {
-  Simulator sim;
-  EventTracer tracer(sim, /*max_events=*/2);
-  tracer.set_enabled(true);
-  for (int i = 0; i < 5; i++) {
-    tracer.Instant("test", "event");
-  }
-  EXPECT_EQ(tracer.size(), 2u);
-  EXPECT_EQ(tracer.dropped(), 3u);
-  const std::string json = tracer.ToChromeTraceJson();
-  EXPECT_NE(json.find("\"dropped_events\":3"), std::string::npos);
-  EXPECT_NE(json.find("warning"), std::string::npos);
-}
-
-TEST(EventTracerDropTest, DroppedCounterIsRegistered) {
-  ServerConfig config;
-  config.kvs_memory_bytes = 8 * kMiB;
-  config.nic_dram.capacity_bytes = 1 * kMiB;
-  KvDirectServer server(config);
-  const auto value = server.metrics().CounterValue("kvd_events_dropped_total");
-  ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(*value, 0u);
 }
 
 }  // namespace
