@@ -3,8 +3,9 @@
 # sweeps. Mirrors exactly what a reviewer runs by hand:
 #
 #   1. layering guards — the transport layer (src/transport) must hold the
-#      only copy of the framing/replay-dedup logic, and request traces must be
-#      the only tracing pipeline;
+#      only copy of the framing/replay-dedup logic, request traces must be
+#      the only tracing pipeline, and the timed memory path must stay on
+#      InlineCallback;
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -42,6 +43,19 @@ tracers=$(grep -rnE 'EventTracer|TraceEvent\b|SetTracer\(|\benable_tracing\b' \
 if [[ -n "${tracers}" ]]; then
   echo "second tracing pipeline found:" >&2
   echo "${tracers}" >&2
+  exit 1
+fi
+
+echo "=== layering guard: allocation-free timed path ==="
+# The event core and the memory path below the processor take move-only
+# InlineCallbacks and keep per-transaction state in pools (DESIGN.md §3). A
+# std::function in these headers brings back the per-hop closure wrapping and
+# heap allocation that tests/alloc_free_test.cc pins at zero.
+functions=$(grep -nE 'std::function|<functional>' src/sim/*.h src/pcie/*.h \
+              src/dram/load_dispatcher.h src/dram/nic_dram.h || true)
+if [[ -n "${functions}" ]]; then
+  echo "std::function found in a timed-path header:" >&2
+  echo "${functions}" >&2
   exit 1
 fi
 

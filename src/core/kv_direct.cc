@@ -93,47 +93,57 @@ void KvDirectServer::DeliverPacket(std::vector<uint8_t> payload,
     return;
   }
   // Collect results in request order; respond when the last one retires.
-  struct PacketState {
-    std::vector<KvResultMessage> results;
-    std::vector<uint64_t> traces;
-    size_t remaining;
-    std::function<void(std::vector<uint8_t>)> respond;
-    RequestTracer* tracer = nullptr;
-  };
-  auto state = std::make_shared<PacketState>();
-  state->results.resize(ops.size());
-  state->remaining = ops.size();
-  state->respond = std::move(respond);
+  const uint32_t packet = packets_.Allocate();
+  PacketState& state = packets_[packet];
+  state.results.resize(ops.size());
+  state.traces.clear();
+  state.remaining = ops.size();
+  state.respond = std::move(respond);
+  state.tracer = nullptr;
   if (traced_sequence != 0 && runtime_.request_tracer().enabled()) {
     // Resolve each op's trace handle from the client-registered packet map
     // and stamp kServerReceive (first delivery wins, so retransmissions and
     // injected duplicates cannot move it).
-    state->tracer = &runtime_.request_tracer();
-    state->traces.resize(ops.size());
+    state.tracer = &runtime_.request_tracer();
+    state.traces.resize(ops.size());
     for (size_t i = 0; i < ops.size(); i++) {
-      const uint64_t handle = state->tracer->LookupOp(traced_sequence, i);
-      state->traces[i] = handle;
+      const uint64_t handle = state.tracer->LookupOp(traced_sequence, i);
+      state.traces[i] = handle;
       ops[i].trace = handle;
       if (handle != 0) {
-        state->tracer->Point(handle, TracePoint::kServerReceive);
+        state.tracer->Point(handle, TracePoint::kServerReceive);
       }
     }
   }
   for (size_t i = 0; i < ops.size(); i++) {
-    runtime_.processor().Submit(std::move(ops[i]), [state, i](KvResultMessage result) {
-      state->results[i] = std::move(result);
-      if (--state->remaining == 0) {
-        if (state->tracer != nullptr) {
-          for (const uint64_t handle : state->traces) {
-            if (handle != 0) {
-              state->tracer->Point(handle, TracePoint::kResponseSent);
-            }
-          }
-        }
-        state->respond(EncodeResults(state->results));
-      }
-    });
+    const auto op = static_cast<uint32_t>(i);
+    runtime_.processor().Submit(std::move(ops[i]),
+                                [this, packet, op](KvResultMessage result) {
+                                  OnPacketOpDone(packet, op, std::move(result));
+                                });
   }
+}
+
+void KvDirectServer::OnPacketOpDone(uint32_t packet, uint32_t op,
+                                    KvResultMessage result) {
+  PacketState& state = packets_[packet];
+  state.results[op] = std::move(result);
+  if (--state.remaining != 0) {
+    return;
+  }
+  if (state.tracer != nullptr) {
+    for (const uint64_t handle : state.traces) {
+      if (handle != 0) {
+        state.tracer->Point(handle, TracePoint::kResponseSent);
+      }
+    }
+  }
+  std::vector<uint8_t> response = EncodeResults(state.results);
+  // Recycle the state before responding: the response may deliver the next
+  // packet, which allocates from the same pool.
+  std::function<void(std::vector<uint8_t>)> respond = std::move(state.respond);
+  packets_.Free(packet);
+  respond(std::move(response));
 }
 
 void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,

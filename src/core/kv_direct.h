@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "src/common/index_pool.h"
 #include "src/common/units.h"
 #include "src/core/node_runtime.h"
 #include "src/net/wire_format.h"
@@ -106,9 +107,22 @@ class KvDirectServer {
   void UseFlightRecorder(FlightRecorder* recorder) { runtime_.UseFlightRecorder(recorder); }
 
  private:
+  // One delivered packet collecting its results in request order. Pooled by
+  // the server so each op's completion captures only {this, index, op}
+  // and fits std::function's local buffer.
+  struct PacketState {
+    std::vector<KvResultMessage> results;
+    std::vector<uint64_t> traces;  // per-op trace handles; empty if untraced
+    size_t remaining = 0;
+    std::function<void(std::vector<uint8_t>)> respond;
+    RequestTracer* tracer = nullptr;
+  };
+  void OnPacketOpDone(uint32_t packet, uint32_t op, KvResultMessage result);
+
   NodeRuntime runtime_;
   FrameEndpoint endpoint_;
   uint64_t next_client_id_ = 0;
+  IndexPool<PacketState> packets_;
 };
 
 // A client endpoint on the simulated network. Synchronous calls advance the

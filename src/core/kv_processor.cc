@@ -49,7 +49,8 @@ KvProcessor::KvProcessor(Simulator& sim, HashIndex& index,
       config_(config),
       station_(config.ooo),
       cycle_(static_cast<SimTime>(std::llround(1e12 / config.clock_hz))),
-      admission_(MergedAdmission(config)) {
+      admission_(MergedAdmission(config)),
+      slot_bucket_address_(config.ooo.station_slots, 0) {
   KVD_CHECK(config.clock_hz > 0);
 }
 
@@ -210,8 +211,9 @@ void KvProcessor::Submit(KvOperation op, Completion done, OpClass cls) {
   stats_.submitted++;
   const size_t queue =
       admission_.config().class_queues ? static_cast<size_t>(cls) : 0;
+  const KeyHash hash = HashKey(op.key);
   waiting_[queue].push_back(
-      Waiting{std::move(op), std::move(done), cls, sim_.Now()});
+      Waiting{std::move(op), std::move(done), cls, sim_.Now(), hash});
   Pump();
 }
 
@@ -229,7 +231,7 @@ void KvProcessor::NoteBusyBurst() {
   }
 }
 
-std::deque<KvProcessor::Waiting>* KvProcessor::NextQueue() {
+RingQueue<KvProcessor::Waiting>* KvProcessor::NextQueue() {
   for (auto& q : waiting_) {
     if (!q.empty()) {
       return &q;
@@ -239,7 +241,7 @@ std::deque<KvProcessor::Waiting>* KvProcessor::NextQueue() {
 }
 
 void KvProcessor::Pump() {
-  while (std::deque<Waiting>* queue = NextQueue()) {
+  while (RingQueue<Waiting>* queue = NextQueue()) {
     // Dequeue-side shedding: the head op may have expired while queued, or
     // CoDel may demand a shed to drag the standing queue delay back under
     // target. Control ops are exempt — shedding a replication apply would
@@ -267,24 +269,28 @@ void KvProcessor::Pump() {
         continue;
       }
     }
-    KvOperation& op = head.op;
-    const KeyHash kh = HashKey(op.key);
+    const KeyHash kh = head.hash;
     const uint16_t slot = kh.StationSlot();
-    const uint64_t id = next_id_;
+    const uint32_t index = inflight_.Allocate();
+    const uint64_t id = (next_id_ << 32) | index;
     const ReservationStation::Action action =
-        station_.Admit(id, slot, kh.digest, IsWriteOpcode(op.opcode));
+        station_.Admit(id, slot, kh.digest, IsWriteOpcode(head.op.opcode));
     if (action == ReservationStation::Action::kRejectFull) {
+      inflight_.Free(index);
       return;  // retried when an operation retires
     }
     next_id_++;
 
-    Inflight inflight;
-    inflight.op = std::move(op);
+    Inflight& inflight = inflight_[index];
+    inflight.id = id;
+    inflight.op = std::move(head.op);
     inflight.done = std::move(head.done);
     queue->pop_front();
+    inflight.next_access = 0;
     inflight.slot = slot;
     inflight.digest = kh.digest;
     inflight.submitted_at = sim_.Now();
+    inflight.parked_at = 0;
     if (inflight.op.trace != 0 && request_tracer_ != nullptr) {
       request_tracer_->Point(inflight.op.trace, TracePoint::kAdmit);
     }
@@ -300,8 +306,9 @@ void KvProcessor::Pump() {
     if (!inflight.op.return_value) {
       inflight.result.value.clear();  // caller declined the original vector
     }
-    inflight.trace = engine_.TakeTrace();
-    slot_bucket_address_[slot] = index_.BucketAddressFor(inflight.op.key);
+    engine_.SwapTrace(inflight.trace);
+    const uint64_t bucket_address = index_.BucketAddressFor(kh);
+    slot_bucket_address_[slot] = bucket_address;
     if (slab_sync_stats_ != nullptr) {
       // Slab-pool synchronizations triggered by this operation become DMA
       // transfers of one entry batch each (paper Figure 8); they are daemon
@@ -309,35 +316,28 @@ void KvProcessor::Pump() {
       for (uint64_t n = slab_sync_stats_->sync_dma_reads - sync_reads_before; n > 0;
            n--) {
         inflight.trace.push_back(
-            {AccessKind::kRead, slot_bucket_address_[slot], config_.slab_sync_bytes});
+            {AccessKind::kRead, bucket_address, config_.slab_sync_bytes});
       }
       for (uint64_t n = slab_sync_stats_->sync_dma_writes - sync_writes_before; n > 0;
            n--) {
         inflight.trace.push_back(
-            {AccessKind::kWrite, slot_bucket_address_[slot], config_.slab_sync_bytes});
+            {AccessKind::kWrite, bucket_address, config_.slab_sync_bytes});
       }
     }
 
     switch (action) {
       case ReservationStation::Action::kIssueToPipeline: {
         stats_.pipeline_ops++;
-        const uint64_t op_id = id;
-        auto [it, inserted] = inflight_.emplace(op_id, std::move(inflight));
-        KVD_CHECK(inserted);
-        sim_.ScheduleAt(NextCycleTime(), [this, op_id] { StepPipelineOp(op_id); });
+        sim_.ScheduleAt(NextCycleTime(), [this, id] { StepPipelineOp(id); });
         break;
       }
       case ReservationStation::Action::kFastPath: {
         stats_.fast_path_ops++;
-        const uint64_t op_id = id;
-        auto [it, inserted] = inflight_.emplace(op_id, std::move(inflight));
-        KVD_CHECK(inserted);
         // Retires in one clock cycle from the cached value; the slot may now
         // need a (new) write-back.
-        const uint16_t fast_slot = it->second.slot;
-        sim_.ScheduleAt(NextCycleTime(), [this, op_id, fast_slot] {
-          Retire(op_id);
-          AdvanceSlot(fast_slot, slot_bucket_address_[fast_slot]);
+        sim_.ScheduleAt(NextCycleTime(), [this, id, slot] {
+          Retire(id);
+          AdvanceSlot(slot, slot_bucket_address_[slot]);
         });
         break;
       }
@@ -345,8 +345,6 @@ void KvProcessor::Pump() {
         // Waits in the station chain; timing resumes at CompletePipeline or
         // TryIssueNext.
         inflight.parked_at = sim_.Now();
-        auto [it, inserted] = inflight_.emplace(id, std::move(inflight));
-        KVD_CHECK(inserted);
         break;
       }
       case ReservationStation::Action::kRejectFull:
@@ -355,10 +353,14 @@ void KvProcessor::Pump() {
   }
 }
 
+KvProcessor::Inflight& KvProcessor::InflightFor(uint64_t id) {
+  Inflight& inflight = inflight_[static_cast<uint32_t>(id)];
+  KVD_CHECK_MSG(inflight.id == id, "operation id is not in flight");
+  return inflight;
+}
+
 void KvProcessor::StepPipelineOp(uint64_t id) {
-  auto it = inflight_.find(id);
-  KVD_CHECK(it != inflight_.end());
-  Inflight& inflight = it->second;
+  Inflight& inflight = InflightFor(id);
   if (inflight.next_access >= inflight.trace.size()) {
     OnPipelineComplete(id);
     return;
@@ -371,11 +373,7 @@ void KvProcessor::StepPipelineOp(uint64_t id) {
 }
 
 void KvProcessor::RecordUnpark(uint64_t id) {
-  const auto it = inflight_.find(id);
-  if (it == inflight_.end()) {
-    return;
-  }
-  Inflight& inflight = it->second;
+  Inflight& inflight = InflightFor(id);
   if (inflight.parked_at != 0 && inflight.op.trace != 0 &&
       request_tracer_ != nullptr) {
     request_tracer_->Span(inflight.op.trace, SpanKind::kStationWait,
@@ -385,9 +383,7 @@ void KvProcessor::RecordUnpark(uint64_t id) {
 }
 
 void KvProcessor::OnPipelineComplete(uint64_t id) {
-  const auto it = inflight_.find(id);
-  KVD_CHECK(it != inflight_.end());
-  const uint16_t slot = it->second.slot;
+  const uint16_t slot = InflightFor(id).slot;
   const uint64_t bucket_address = slot_bucket_address_[slot];
   Retire(id);
 
@@ -395,15 +391,15 @@ void KvProcessor::OnPipelineComplete(uint64_t id) {
   // clock cycle, without touching the memory system. They share the global
   // one-op-per-cycle issue budget with newly admitted operations, so total
   // retirement can never exceed the 180 MHz clock bound.
-  const std::vector<uint64_t> fast_path = station_.CompletePipeline(slot);
+  station_.CompletePipeline(slot, forwarded_);
   SimTime retire_at = sim_.Now();
-  for (const uint64_t fast_id : fast_path) {
+  for (const uint64_t fast_id : forwarded_) {
     retire_at = NextCycleTime();
     stats_.fast_path_ops++;
     RecordUnpark(fast_id);
     sim_.ScheduleAt(retire_at, [this, fast_id] { Retire(fast_id); });
   }
-  if (fast_path.empty()) {
+  if (forwarded_.empty()) {
     AdvanceSlot(slot, bucket_address);
   } else {
     sim_.ScheduleAt(retire_at,
@@ -435,10 +431,7 @@ void KvProcessor::AdvanceSlot(uint16_t slot, uint64_t bucket_address) {
 }
 
 void KvProcessor::Retire(uint64_t id) {
-  auto it = inflight_.find(id);
-  KVD_CHECK(it != inflight_.end());
-  Inflight inflight = std::move(it->second);
-  inflight_.erase(it);
+  Inflight& inflight = InflightFor(id);
   stats_.retired++;
   stats_.latency_ns.Add((sim_.Now() - inflight.submitted_at) / kNanosecond);
   if (inflight.op.trace != 0 && request_tracer_ != nullptr) {
@@ -457,8 +450,14 @@ void KvProcessor::Retire(uint64_t id) {
     inflight.result.value.clear();
     inflight.result.scalar = 0;
   }
-  if (inflight.done) {
-    inflight.done(std::move(inflight.result));
+  // Release the record before the completion runs: it may submit (and
+  // admit) new operations, which recycles pool slots.
+  Completion done = std::move(inflight.done);
+  KvResultMessage result = std::move(inflight.result);
+  inflight.id = 0;
+  inflight_.Free(static_cast<uint32_t>(id));
+  if (done) {
+    done(std::move(result));
   }
 }
 
@@ -499,7 +498,7 @@ void KvProcessor::RegisterMetrics(MetricRegistry& registry) const {
                          {}, [this] { return static_cast<double>(backlog()); });
   registry.RegisterGauge("kvd_proc_inflight",
                          "Operations admitted and not yet retired", {},
-                         [this] { return static_cast<double>(inflight_.size()); });
+                         [this] { return static_cast<double>(inflight_.live()); });
   registry.RegisterHistogram("kvd_proc_latency_ns",
                              "Submission-to-retirement latency (ns)", {},
                              [this] { return stats_.latency_ns; });

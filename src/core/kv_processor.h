@@ -24,12 +24,13 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/alloc/slab_allocator.h"
+#include "src/common/hashing.h"
+#include "src/common/index_pool.h"
+#include "src/common/ring_queue.h"
 #include "src/common/stats.h"
 #include "src/common/units.h"
 #include "src/core/admission.h"
@@ -122,7 +123,9 @@ class KvProcessor {
   }
 
  private:
+  // Pooled by op id (see OpId); a recycled record keeps its trace buffer.
   struct Inflight {
+    uint64_t id = 0;  // op id owning the record; 0 once retired
     KvOperation op;
     KvResultMessage result;
     std::vector<AccessRecord> trace;
@@ -139,13 +142,14 @@ class KvProcessor {
     Completion done;
     OpClass cls = OpClass::kRead;
     SimTime enqueued_at = 0;
+    KeyHash hash{};  // computed once at Submit, reused by every Pump retry
   };
 
   // Admits from the waiting queues into the reservation station while
   // capacity allows, shedding expired/over-target heads along the way.
   void Pump();
   // Highest-priority non-empty waiting queue, or nullptr when all drained.
-  std::deque<Waiting>* NextQueue();
+  RingQueue<Waiting>* NextQueue();
   // Feeds the flight recorder's rejection-burst trigger.
   void NoteBusyBurst();
   // Runs the next access of a pipeline op, or completes it.
@@ -157,6 +161,9 @@ class KvProcessor {
   SimTime NextCycleTime();
   // Closes the kStationWait span of a parked op that just resumed.
   void RecordUnpark(uint64_t id);
+  // The live record of op `id`. An op id is (admission serial << 32) | pool
+  // index, so a stale id fails the check even after its slot is recycled.
+  Inflight& InflightFor(uint64_t id);
 
   Simulator& sim_;
   HashIndex& index_;
@@ -175,13 +182,15 @@ class KvProcessor {
   uint64_t busy_window_count_ = 0;
 
   uint64_t next_id_ = 1;
-  std::unordered_map<uint64_t, Inflight> inflight_;
+  IndexPool<Inflight> inflight_;
   // One FIFO per priority class, drained control → reads → writes. With
   // admission.class_queues off every op lands in queue 0 (legacy FIFO order).
-  std::array<std::deque<Waiting>, kNumOpClasses> waiting_;
+  std::array<RingQueue<Waiting>, kNumOpClasses> waiting_;
   AdmissionController admission_;
-  // Bucket addresses for pending write-backs, keyed by station slot.
-  std::unordered_map<uint16_t, uint64_t> slot_bucket_address_;
+  // Bucket addresses for pending write-backs, indexed by station slot.
+  std::vector<uint64_t> slot_bucket_address_;
+  // Scratch list of operations forwarded by CompletePipeline.
+  std::vector<uint64_t> forwarded_;
 
   KvProcessorStats stats_;
 };

@@ -22,7 +22,6 @@ LoadDispatcher::LoadDispatcher(Simulator& sim, DmaEngine& dma, NicDram& dram,
       ratio * static_cast<double>(~uint64_t{0}));
   num_cache_lines_ = std::max<uint64_t>(1, config.nic_dram_bytes / kCacheLineBytes);
   line_tag_.assign(num_cache_lines_, kInvalidTag);
-  line_dirty_.assign(num_cache_lines_, false);
 }
 
 bool LoadDispatcher::IsCacheable(uint64_t address) const {
@@ -43,35 +42,80 @@ bool LoadDispatcher::IsCacheable(uint64_t address) const {
 
 LoadDispatcher::LineOutcome LoadDispatcher::TouchLine(uint64_t address, bool is_write) {
   const uint64_t line = address / kCacheLineBytes;
-  const uint64_t slot = line % num_cache_lines_;
+  uint64_t& word = line_tag_[line % num_cache_lines_];
   LineOutcome outcome;
-  if (line_tag_[slot] == line) {
+  if ((word & ~kDirtyBit) == line) {
     outcome.hit = true;
   } else {
-    outcome.writeback = line_tag_[slot] != kInvalidTag && line_dirty_[slot];
-    line_tag_[slot] = line;
-    line_dirty_[slot] = false;
+    // kInvalidTag never carries the dirty bit, so an empty slot never
+    // writes back.
+    outcome.writeback = (word & kDirtyBit) != 0;
+    word = line;
   }
   if (is_write) {
-    line_dirty_[slot] = true;
+    word |= kDirtyBit;
   }
   return outcome;
 }
 
-std::function<void()> LoadDispatcher::TraceDone(uint64_t trace, uint64_t route,
-                                                std::function<void()> done) {
+InlineCallback LoadDispatcher::TraceDone(uint64_t trace, uint64_t route,
+                                         InlineCallback done) {
   if (trace == 0 || request_tracer_ == nullptr) {
     return done;
   }
-  const SimTime start = sim_.Now();
-  return [this, trace, route, start, done = std::move(done)] {
-    request_tracer_->Span(trace, SpanKind::kMemAccess, start, sim_.Now(), route);
-    done();
-  };
+  const uint32_t p = pending_.Allocate();
+  Pending& pending = pending_[p];
+  pending.done = std::move(done);
+  pending.trace = trace;
+  pending.route = route;
+  pending.start = sim_.Now();
+  pending.fill_bytes = 0;
+  pending.demotion = nullptr;
+  return [this, p] { FinishAccess(p); };
+}
+
+void LoadDispatcher::ReadAndFill(uint64_t address, uint32_t bytes, uint64_t trace,
+                                 uint64_t route, InlineCallback done,
+                                 const char* demotion) {
+  const uint32_t p = pending_.Allocate();
+  Pending& pending = pending_[p];
+  pending.done = std::move(done);
+  pending.trace = trace;
+  pending.route = route;
+  pending.start = sim_.Now();
+  pending.fill_bytes = bytes;
+  pending.demotion = demotion;
+  dma_.Read(address, bytes, [this, p] { OnFillData(p); }, /*random_access=*/true,
+            trace);
+}
+
+void LoadDispatcher::OnFillData(uint32_t p) {
+  Pending& pending = pending_[p];
+  // The fill overlaps the return path: data is available to the pipeline
+  // when PCIe completes.
+  dram_.Access(pending.fill_bytes, [] {}, pending.trace);
+  const char* demotion = pending.demotion;
+  FinishAccess(p);
+  // Fire once the recovery read has landed (and the route span is closed)
+  // so the dump's live trace carries the demoted access's full span tree.
+  if (demotion != nullptr && flight_ != nullptr) {
+    flight_->Trigger(FlightTrigger::kEccDemotion, demotion);
+  }
+}
+
+void LoadDispatcher::FinishAccess(uint32_t p) {
+  Pending& pending = pending_[p];
+  if (pending.trace != 0 && request_tracer_ != nullptr) {
+    request_tracer_->Span(pending.trace, SpanKind::kMemAccess, pending.start,
+                          sim_.Now(), pending.route);
+  }
+  InlineCallback done = std::move(pending.done);
+  pending_.Free(p);
+  done();
 }
 
 void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
-                            std::function<void()> done, uint64_t op_trace) {
+                            InlineCallback done, uint64_t op_trace) {
   KVD_CHECK(bytes > 0);
   if (!IsCacheable(address)) {
     stats_.pcie_accesses++;
@@ -91,21 +135,8 @@ void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
       // Uncorrectable ECC on the pinned copy: serve from host memory and
       // refill the DRAM line from there.
       stats_.ecc_demotions++;
-      done = TraceDone(op_trace, kRouteEccDemotion, std::move(done));
-      dma_.Read(
-          address, bytes,
-          [this, bytes, op_trace, done = std::move(done)]() mutable {
-            dram_.Access(bytes, [] {}, op_trace);
-            done();
-            // Fire once the recovery read has landed (and `done` has closed
-            // the route span) so the dump's live trace carries the demoted
-            // access's full span tree.
-            if (flight_ != nullptr) {
-              flight_->Trigger(FlightTrigger::kEccDemotion,
-                               "uncorrectable ECC; line demoted to host");
-            }
-          },
-          /*random_access=*/true, op_trace);
+      ReadAndFill(address, bytes, op_trace, kRouteEccDemotion, std::move(done),
+                  "uncorrectable ECC; line demoted to host");
       return;
     }
     // Pinned data: always a DRAM hit, never a fill or writeback.
@@ -137,22 +168,11 @@ void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
       // this charges the degradation's timing cost.
       stats_.ecc_demotions++;
       for (uint64_t offset = 0; offset < bytes; offset += kCacheLineBytes) {
-        const uint64_t slot =
-            ((address + offset) / kCacheLineBytes) % num_cache_lines_;
-        line_dirty_[slot] = false;
+        line_tag_[((address + offset) / kCacheLineBytes) % num_cache_lines_] &=
+            ~kDirtyBit;
       }
-      done = TraceDone(op_trace, kRouteEccDemotion, std::move(done));
-      dma_.Read(
-          address, bytes,
-          [this, bytes, op_trace, done = std::move(done)]() mutable {
-            dram_.Access(bytes, [] {}, op_trace);
-            done();
-            if (flight_ != nullptr) {
-              flight_->Trigger(FlightTrigger::kEccDemotion,
-                               "uncorrectable ECC; cached line demoted");
-            }
-          },
-          /*random_access=*/true, op_trace);
+      ReadAndFill(address, bytes, op_trace, kRouteEccDemotion, std::move(done),
+                  "uncorrectable ECC; cached line demoted");
       return;
     }
     stats_.dram_hits++;
@@ -163,7 +183,6 @@ void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
 
   stats_.dram_misses++;
   stats_.writebacks += writebacks;
-  done = TraceDone(op_trace, kRouteCacheMiss, std::move(done));
   // Dirty evictions drain to host memory in the background (posted writes).
   for (uint32_t i = 0; i < writebacks; i++) {
     dma_.Write(address, kCacheLineBytes, [] {}, op_trace);
@@ -171,18 +190,13 @@ void LoadDispatcher::Access(AccessKind kind, uint64_t address, uint32_t bytes,
   if (is_write) {
     // Write miss: the line is allocated in DRAM and marked dirty; the write
     // is durable (w.r.t. NIC-side ordering) once the DRAM accepts it.
-    dram_.Access(bytes, std::move(done), op_trace);
+    dram_.Access(bytes, TraceDone(op_trace, kRouteCacheMiss, std::move(done)),
+                 op_trace);
     return;
   }
-  // Read miss: fetch over PCIe, then fill DRAM (fill overlaps the return
-  // path; data is available to the pipeline when PCIe completes).
-  dma_.Read(
-      address, bytes,
-      [this, bytes, op_trace, done = std::move(done)]() mutable {
-        dram_.Access(bytes, [] {}, op_trace);
-        done();
-      },
-      /*random_access=*/true, op_trace);
+  // Read miss: fetch over PCIe, then fill DRAM.
+  ReadAndFill(address, bytes, op_trace, kRouteCacheMiss, std::move(done),
+              /*demotion=*/nullptr);
 }
 
 void LoadDispatcher::RegisterMetrics(MetricRegistry& registry) const {

@@ -24,9 +24,9 @@
 #define SRC_DRAM_LOAD_DISPATCHER_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "src/common/index_pool.h"
 #include "src/common/units.h"
 #include "src/dram/nic_dram.h"
 #include "src/mem/access_engine.h"
@@ -76,7 +76,7 @@ class LoadDispatcher {
   // (read) or accepted (write). `trace` (if nonzero) records a kMemAccess
   // span with the chosen route as detail, plus the underlying DMA/DRAM spans.
   void Access(AccessKind kind, uint64_t address, uint32_t bytes,
-              std::function<void()> done, uint64_t trace = 0);
+              InlineCallback done, uint64_t trace = 0);
 
   const DispatchStats& stats() const { return stats_; }
   const LoadDispatcherConfig& config() const { return config_; }
@@ -102,9 +102,27 @@ class LoadDispatcher {
     bool writeback = false;
   };
   LineOutcome TouchLine(uint64_t address, bool is_write);
-  // Wraps `done` so its invocation closes a kMemAccess span tagged `route`.
-  std::function<void()> TraceDone(uint64_t trace, uint64_t route,
-                                  std::function<void()> done);
+
+  // An access whose completion needs more than the caller's `done`: a
+  // kMemAccess span to close, and for PCIe reads that refill the cache
+  // (read miss, ECC demotion) the DRAM fill to issue when the data lands.
+  struct Pending {
+    InlineCallback done;
+    uint64_t trace = 0;
+    uint64_t route = 0;
+    SimTime start = 0;
+    uint32_t fill_bytes = 0;
+    const char* demotion = nullptr;  // flight-recorder detail, if demoted
+  };
+  // Returns `done` itself when untraced; otherwise a callback that closes
+  // the kMemAccess span tagged `route` and then runs `done`.
+  InlineCallback TraceDone(uint64_t trace, uint64_t route, InlineCallback done);
+  // PCIe read of the line(s), then a DRAM fill, then `done`; a non-null
+  // `demotion` also fires the flight recorder afterwards.
+  void ReadAndFill(uint64_t address, uint32_t bytes, uint64_t trace,
+                   uint64_t route, InlineCallback done, const char* demotion);
+  void OnFillData(uint32_t pending);
+  void FinishAccess(uint32_t pending);
 
   Simulator& sim_;
   DmaEngine& dma_;
@@ -115,11 +133,13 @@ class LoadDispatcher {
   uint64_t cacheable_threshold_;  // dispatch ratio scaled to the hash range
   uint64_t num_cache_lines_;
 
-  // Direct-mapped cache metadata: tag (line address) or kInvalidTag per slot,
-  // plus a dirty flag. Lives in spare ECC bits in the real hardware.
-  static constexpr uint64_t kInvalidTag = ~uint64_t{0};
+  // Direct-mapped cache metadata, one word per slot: the tag (line address)
+  // with the dirty flag in the top bit, or kInvalidTag. Lives in spare ECC
+  // bits in the real hardware; one word keeps a touch to one host cache line.
+  static constexpr uint64_t kDirtyBit = uint64_t{1} << 63;
+  static constexpr uint64_t kInvalidTag = kDirtyBit - 1;  // clean, no line
   std::vector<uint64_t> line_tag_;
-  std::vector<bool> line_dirty_;
+  IndexPool<Pending> pending_;
 
   DispatchStats stats_;
 };

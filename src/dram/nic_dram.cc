@@ -18,7 +18,7 @@ NicDram::NicDram(Simulator& sim, const NicDramConfig& config)
       picos_per_byte_(PicosPerByte(config.bandwidth_bytes_per_sec *
                                    config.random_access_efficiency)) {}
 
-void NicDram::Access(uint32_t bytes, std::function<void()> done, uint64_t trace) {
+void NicDram::Access(uint32_t bytes, InlineCallback done, uint64_t trace) {
   KVD_CHECK(bytes > 0);
   accesses_++;
   bytes_ += bytes;

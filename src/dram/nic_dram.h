@@ -9,7 +9,6 @@
 #define SRC_DRAM_NIC_DRAM_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "src/common/units.h"
 #include "src/fault/fault_injector.h"
@@ -44,7 +43,7 @@ class NicDram {
 
   // Performs a timed access of `bytes`; `done` fires when complete. `trace`
   // (if nonzero) records a kNicDramAccess span covering queueing + access.
-  void Access(uint32_t bytes, std::function<void()> done, uint64_t trace = 0);
+  void Access(uint32_t bytes, InlineCallback done, uint64_t trace = 0);
 
   // Consults the fault injector for a bit flip on a line read at `address`
   // and, if one fires, pushes it through the real ECC codec

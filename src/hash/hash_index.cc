@@ -1,6 +1,7 @@
 #include "src/hash/hash_index.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 
@@ -16,8 +17,18 @@ struct ParsedEntry {
   uint8_t vlen = 0;  // inline only
 };
 
-std::vector<ParsedEntry> ParseEntries(const BucketView& bucket) {
-  std::vector<ParsedEntry> entries;
+// A bucket holds at most one entry per slot, so parsing needs no heap.
+struct ParsedEntries {
+  std::array<ParsedEntry, kSlotsPerBucket> items;
+  uint32_t count = 0;
+
+  const ParsedEntry* begin() const { return items.data(); }
+  const ParsedEntry* end() const { return items.data() + count; }
+  void push_back(const ParsedEntry& entry) { items[count++] = entry; }
+};
+
+ParsedEntries ParseEntries(const BucketView& bucket) {
+  ParsedEntries entries;
   uint32_t slot = 0;
   while (slot < kSlotsPerBucket) {
     const uint8_t type = bucket.SlotType(slot);
@@ -43,36 +54,6 @@ std::vector<ParsedEntry> ParseEntries(const BucketView& bucket) {
     }
   }
   return entries;
-}
-
-// Serialized slab image: u16 klen, u16 vlen, key, value.
-std::vector<uint8_t> BuildSlabImage(std::span<const uint8_t> key,
-                                    std::span<const uint8_t> value) {
-  std::vector<uint8_t> slab(HashIndex::kSlabHeaderBytes + key.size() + value.size());
-  const auto klen = static_cast<uint16_t>(key.size());
-  const auto vlen = static_cast<uint16_t>(value.size());
-  std::memcpy(slab.data(), &klen, 2);
-  std::memcpy(slab.data() + 2, &vlen, 2);
-  std::memcpy(slab.data() + HashIndex::kSlabHeaderBytes, key.data(), key.size());
-  if (!value.empty()) {  // an empty span's data() may be null
-    std::memcpy(slab.data() + HashIndex::kSlabHeaderBytes + key.size(),
-                value.data(), value.size());
-  }
-  return slab;
-}
-
-// Serialized inline image: u8 klen, u8 vlen, key, value.
-std::vector<uint8_t> BuildInlineImage(std::span<const uint8_t> key,
-                                      std::span<const uint8_t> value) {
-  std::vector<uint8_t> data(kInlineHeaderBytes + key.size() + value.size());
-  data[0] = static_cast<uint8_t>(key.size());
-  data[1] = static_cast<uint8_t>(value.size());
-  std::memcpy(data.data() + kInlineHeaderBytes, key.data(), key.size());
-  if (!value.empty()) {  // an empty span's data() may be null
-    std::memcpy(data.data() + kInlineHeaderBytes + key.size(), value.data(),
-                value.size());
-  }
-  return data;
 }
 
 }  // namespace
@@ -118,10 +99,6 @@ uint8_t HashIndex::SlabClassFor(uint32_t slab_bytes) const {
                               std::countr_zero(config_.min_slab_bytes));
 }
 
-uint64_t HashIndex::BucketAddressFor(std::span<const uint8_t> key) const {
-  return index_base_ + HashKey(key).BucketIndex(num_buckets_) * kBucketBytes;
-}
-
 BucketView HashIndex::ReadBucket(uint64_t address) {
   uint8_t raw[kBucketBytes];
   engine_.Read(address, raw);
@@ -132,18 +109,51 @@ void HashIndex::WriteBucket(uint64_t address, const BucketView& bucket) {
   engine_.Write(address, bucket.raw());
 }
 
-bool HashIndex::ReadSlabKv(const PointerSlot& pointer, std::span<const uint8_t> key,
-                           std::vector<uint8_t>* value_out) {
+std::span<const uint8_t> HashIndex::SlabImage(std::span<const uint8_t> key,
+                                              std::span<const uint8_t> value) {
+  image_.resize(kSlabHeaderBytes + key.size() + value.size());
+  const auto klen = static_cast<uint16_t>(key.size());
+  const auto vlen = static_cast<uint16_t>(value.size());
+  std::memcpy(image_.data(), &klen, 2);
+  std::memcpy(image_.data() + 2, &vlen, 2);
+  std::memcpy(image_.data() + kSlabHeaderBytes, key.data(), key.size());
+  if (!value.empty()) {  // an empty span's data() may be null
+    std::memcpy(image_.data() + kSlabHeaderBytes + key.size(), value.data(),
+                value.size());
+  }
+  return image_;
+}
+
+std::span<const uint8_t> HashIndex::InlineImage(std::span<const uint8_t> key,
+                                                std::span<const uint8_t> value) {
+  image_.resize(kInlineHeaderBytes + key.size() + value.size());
+  image_[0] = static_cast<uint8_t>(key.size());
+  image_[1] = static_cast<uint8_t>(value.size());
+  std::memcpy(image_.data() + kInlineHeaderBytes, key.data(), key.size());
+  if (!value.empty()) {  // an empty span's data() may be null
+    std::memcpy(image_.data() + kInlineHeaderBytes + key.size(), value.data(),
+                value.size());
+  }
+  return image_;
+}
+
+std::optional<uint32_t> HashIndex::ReadSlabKv(const PointerSlot& pointer,
+                                              std::span<const uint8_t> key,
+                                              std::vector<uint8_t>* value_out) {
   const uint32_t slab_bytes = config_.min_slab_bytes << pointer.slab_class;
-  std::vector<uint8_t> slab(slab_bytes);
-  if (slab_bytes <= 512) {
+  uint8_t small[kMaxPaperSlabBytes] = {};
+  std::span<uint8_t> slab;
+  if (slab_bytes <= kMaxPaperSlabBytes) {
     // Paper-sized slabs (32..512 B): fetch the whole class in one DMA, so a
     // non-inline GET costs exactly bucket + KV = 2 accesses (§3.3.1).
+    slab = std::span<uint8_t>(small, slab_bytes);
     engine_.Read(pointer.address, slab);
   } else {
     // Large slabs (the vector extension): internal fragmentation can waste
     // half the class, so read the first line for the length header, then
     // exactly the remaining payload.
+    large_slab_.resize(slab_bytes);
+    slab = large_slab_;
     engine_.Read(pointer.address, std::span<uint8_t>(slab.data(), 64));
     uint16_t k;
     uint16_t v;
@@ -162,19 +172,19 @@ bool HashIndex::ReadSlabKv(const PointerSlot& pointer, std::span<const uint8_t> 
   if (klen != key.size() ||
       std::memcmp(slab.data() + kSlabHeaderBytes, key.data(), klen) != 0) {
     stats_.secondary_false_hits++;
-    return false;
+    return std::nullopt;
   }
   if (value_out != nullptr) {
     value_out->assign(slab.begin() + kSlabHeaderBytes + klen,
                       slab.begin() + kSlabHeaderBytes + klen + vlen);
   }
-  return true;
+  return vlen;
 }
 
 std::optional<HashIndex::Location> HashIndex::Find(std::span<const uint8_t> key,
+                                                   const KeyHash& kh,
                                                    std::vector<uint8_t>* value_out,
                                                    std::vector<WalkedBucket>* walked) {
-  const KeyHash kh = HashKey(key);
   uint64_t address = index_base_ + kh.BucketIndex(num_buckets_) * kBucketBytes;
   uint64_t parent = kNoParent;
   bool first = true;
@@ -192,13 +202,15 @@ std::optional<HashIndex::Location> HashIndex::Find(std::span<const uint8_t> key,
         if (entry.klen != key.size()) {
           continue;
         }
-        std::vector<uint8_t> data(kInlineHeaderBytes + entry.klen + entry.vlen);
-        bucket.ReadInlineBytes(entry.slot, data);
-        if (std::memcmp(data.data() + kInlineHeaderBytes, key.data(), entry.klen) != 0) {
+        uint8_t data[kInlineHeaderBytes + kMaxInlineKvBytes] = {};
+        const uint32_t len = kInlineHeaderBytes + entry.klen + entry.vlen;
+        KVD_CHECK_MSG(len <= sizeof(data), "inline entry overruns its bucket");
+        bucket.ReadInlineBytes(entry.slot, std::span<uint8_t>(data, len));
+        if (std::memcmp(data + kInlineHeaderBytes, key.data(), entry.klen) != 0) {
           continue;
         }
         if (value_out != nullptr) {
-          value_out->assign(data.begin() + kInlineHeaderBytes + entry.klen, data.end());
+          value_out->assign(data + kInlineHeaderBytes + entry.klen, data + len);
         }
         Location loc;
         loc.bucket_address = address;
@@ -213,17 +225,13 @@ std::optional<HashIndex::Location> HashIndex::Find(std::span<const uint8_t> key,
       if (pointer.secondary_hash != kh.SecondaryHash()) {
         continue;
       }
-      std::vector<uint8_t> value;
-      if (ReadSlabKv(pointer, key, &value)) {
-        if (value_out != nullptr) {
-          *value_out = value;
-        }
+      if (const std::optional<uint32_t> vlen = ReadSlabKv(pointer, key, value_out)) {
         Location loc;
         loc.bucket_address = address;
         loc.bucket = bucket;
         loc.slot = entry.slot;
         loc.is_inline = false;
-        loc.kv_bytes = static_cast<uint32_t>(key.size() + value.size());
+        loc.kv_bytes = static_cast<uint32_t>(key.size()) + *vlen;
         loc.pointer = pointer;
         loc.parent_address = parent;
         return loc;
@@ -239,7 +247,7 @@ std::optional<HashIndex::Location> HashIndex::Find(std::span<const uint8_t> key,
 
 Status HashIndex::Get(std::span<const uint8_t> key, std::vector<uint8_t>& value_out) {
   stats_.gets++;
-  if (Find(key, &value_out).has_value()) {
+  if (Find(key, HashKey(key), &value_out).has_value()) {
     return Status::Ok();
   }
   return Status::NotFound();
@@ -251,9 +259,10 @@ BucketView HashIndex::Compacted(const BucketView& bucket) {
   for (const ParsedEntry& entry : ParseEntries(bucket)) {
     if (entry.is_inline) {
       const uint32_t bytes = kInlineHeaderBytes + entry.klen + entry.vlen;
-      std::vector<uint8_t> data(bytes);
-      bucket.ReadInlineBytes(entry.slot, data);
-      out.WriteInlineBytes(next, data);
+      uint8_t data[kSlotsPerBucket * kSlotBytes] = {};
+      KVD_CHECK_MSG(bytes <= sizeof(data), "inline entry overruns its bucket");
+      bucket.ReadInlineBytes(entry.slot, std::span<uint8_t>(data, bytes));
+      out.WriteInlineBytes(next, std::span<const uint8_t>(data, bytes));
       out.SetInlineBegin(next, true);
       for (uint32_t s = 0; s < entry.span; s++) {
         out.SetSlotType(next + s, kSlotInline);
@@ -288,7 +297,7 @@ bool HashIndex::TryPlace(BucketView& bucket, std::span<const uint8_t> key,
   BucketView compacted = Compacted(bucket);
   const uint32_t first = kSlotsPerBucket - compacted.FreeSlots();
   if (inline_kv) {
-    compacted.WriteInlineBytes(first, BuildInlineImage(key, value));
+    compacted.WriteInlineBytes(first, InlineImage(key, value));
     compacted.SetInlineBegin(first, true);
     for (uint32_t s = 0; s < needed; s++) {
       compacted.SetSlotType(first + s, kSlotInline);
@@ -300,9 +309,9 @@ bool HashIndex::TryPlace(BucketView& bucket, std::span<const uint8_t> key,
   return true;
 }
 
-Status HashIndex::Insert(std::span<const uint8_t> key, std::span<const uint8_t> value,
-                         std::vector<WalkedBucket> walked) {
-  const KeyHash kh = HashKey(key);
+Status HashIndex::Insert(std::span<const uint8_t> key, const KeyHash& kh,
+                         std::span<const uint8_t> value,
+                         std::vector<WalkedBucket>& walked) {
   const auto kv_bytes = static_cast<uint32_t>(key.size() + value.size());
   const bool inline_kv =
       kv_bytes <= config_.inline_threshold_bytes && kv_bytes <= kMaxInlineKvBytes;
@@ -318,7 +327,7 @@ Status HashIndex::Insert(std::span<const uint8_t> key, std::span<const uint8_t> 
     slab_address = *allocated;
     slab_class = SlabClassFor(slab_bytes);
     // One DMA write for the KV body: header + key + value.
-    engine_.Write(slab_address, BuildSlabImage(key, value));
+    engine_.Write(slab_address, SlabImage(key, value));
   }
 
   // Use the buckets the caller's Find() already read (the hardware pipeline
@@ -383,17 +392,18 @@ Status HashIndex::Put(std::span<const uint8_t> key, std::span<const uint8_t> val
     return Status::InvalidArgument("value size");
   }
 
-  std::vector<WalkedBucket> walked;
-  std::optional<Location> loc = Find(key, nullptr, &walked);
+  const KeyHash kh = HashKey(key);
+  walked_.clear();
+  std::optional<Location> loc = Find(key, kh, nullptr, &walked_);
   if (!loc.has_value()) {
-    return Insert(key, value, std::move(walked));
+    return Insert(key, kh, value, walked_);
   }
 
   if (loc->is_inline && fits_inline &&
       BucketView::InlineSlotSpan(kv_bytes) ==
           BucketView::InlineSlotSpan(loc->kv_bytes)) {
     // Same slot span: overwrite the inline bytes, one bucket write.
-    loc->bucket.WriteInlineBytes(loc->slot, BuildInlineImage(key, value));
+    loc->bucket.WriteInlineBytes(loc->slot, InlineImage(key, value));
     WriteBucket(loc->bucket_address, loc->bucket);
     payload_bytes_ += kv_bytes;
     payload_bytes_ -= loc->kv_bytes;
@@ -403,7 +413,7 @@ Status HashIndex::Put(std::span<const uint8_t> key, std::span<const uint8_t> val
   if (!loc->is_inline && !fits_inline &&
       SlabClassFor(kSlabHeaderBytes + kv_bytes) == loc->pointer.slab_class) {
     // Same slab class: rewrite the slab body in place, bucket untouched.
-    engine_.Write(loc->pointer.address, BuildSlabImage(key, value));
+    engine_.Write(loc->pointer.address, SlabImage(key, value));
     payload_bytes_ += kv_bytes;
     payload_bytes_ -= loc->kv_bytes;
     return Status::Ok();
@@ -412,14 +422,15 @@ Status HashIndex::Put(std::span<const uint8_t> key, std::span<const uint8_t> val
   // Shape changed (inline <-> slab, or different slab class): replace. The
   // walked buckets are stale after the removal, so Insert re-walks.
   RemoveAt(*loc);
-  return Insert(key, value, {});
+  walked_.clear();
+  return Insert(key, kh, value, walked_);
 }
 
 Status HashIndex::UpdateInPlace(std::span<const uint8_t> key,
                                 const ValueUpdater& updater,
                                 std::vector<uint8_t>* original_out) {
   std::vector<uint8_t> value;
-  std::optional<Location> loc = Find(key, &value);
+  std::optional<Location> loc = Find(key, HashKey(key), &value);
   if (!loc.has_value()) {
     return Status::NotFound();
   }
@@ -430,10 +441,10 @@ Status HashIndex::UpdateInPlace(std::span<const uint8_t> key,
   KVD_CHECK_MSG(value.size() + key.size() == loc->kv_bytes,
                 "UpdateInPlace must preserve value size");
   if (loc->is_inline) {
-    loc->bucket.WriteInlineBytes(loc->slot, BuildInlineImage(key, value));
+    loc->bucket.WriteInlineBytes(loc->slot, InlineImage(key, value));
     WriteBucket(loc->bucket_address, loc->bucket);
   } else {
-    engine_.Write(loc->pointer.address, BuildSlabImage(key, value));
+    engine_.Write(loc->pointer.address, SlabImage(key, value));
   }
   return Status::Ok();
 }
@@ -472,7 +483,7 @@ void HashIndex::RemoveAt(Location& loc) {
 
 Status HashIndex::Delete(std::span<const uint8_t> key) {
   stats_.deletes++;
-  std::optional<Location> loc = Find(key);
+  std::optional<Location> loc = Find(key, HashKey(key));
   if (!loc.has_value()) {
     return Status::NotFound();
   }
@@ -481,7 +492,7 @@ Status HashIndex::Delete(std::span<const uint8_t> key) {
 }
 
 bool HashIndex::Contains(std::span<const uint8_t> key) {
-  return Find(key).has_value();
+  return Find(key, HashKey(key)).has_value();
 }
 
 void HashIndex::RegisterMetrics(MetricRegistry& registry) const {

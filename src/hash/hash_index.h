@@ -99,9 +99,11 @@ class HashIndex {
   static constexpr uint32_t kMaxKeyBytes = 255;
   static constexpr uint32_t kSlabHeaderBytes = 4;  // u16 klen + u16 vlen
 
-  // Address of the chain-head bucket for `key` (used by the KV processor's
-  // write-back path, which targets the key's bucket line).
-  uint64_t BucketAddressFor(std::span<const uint8_t> key) const;
+  // Address of the chain-head bucket for the key with `hash` (used by the KV
+  // processor's write-back path, which targets the key's bucket line).
+  uint64_t BucketAddressFor(const KeyHash& hash) const {
+    return index_base_ + hash.BucketIndex(num_buckets_) * kBucketBytes;
+  }
 
  private:
   // Where `key` lives: bucket address, first slot, and (non-inline) the slab.
@@ -127,22 +129,32 @@ class HashIndex {
     BucketView view;
   };
 
-  // Walks the chain for `key`. Returns its location (and optionally the
-  // stored value), or nullopt. When `walked` is non-null it receives every
-  // bucket read along the way, covering the full chain on a miss.
-  std::optional<Location> Find(std::span<const uint8_t> key,
+  // Walks the chain for `key` (whose hash is `kh`). Returns its location
+  // (and optionally the stored value), or nullopt. When `walked` is non-null
+  // it receives every bucket read along the way, covering the full chain on
+  // a miss.
+  std::optional<Location> Find(std::span<const uint8_t> key, const KeyHash& kh,
                                std::vector<uint8_t>* value_out = nullptr,
                                std::vector<WalkedBucket>* walked = nullptr);
 
-  // Reads the KV stored in a slab; returns false on key mismatch
-  // (secondary-hash false positive).
-  bool ReadSlabKv(const PointerSlot& pointer, std::span<const uint8_t> key,
-                  std::vector<uint8_t>* value_out);
+  // Reads the KV stored in a slab; returns its value length, or nullopt on
+  // key mismatch (secondary-hash false positive).
+  std::optional<uint32_t> ReadSlabKv(const PointerSlot& pointer,
+                                     std::span<const uint8_t> key,
+                                     std::vector<uint8_t>* value_out);
+
+  // Serialized images, built in image_ and valid until the next call:
+  // slab = u16 klen, u16 vlen, key, value; inline = u8 klen, u8 vlen, key,
+  // value.
+  std::span<const uint8_t> SlabImage(std::span<const uint8_t> key,
+                                     std::span<const uint8_t> value);
+  std::span<const uint8_t> InlineImage(std::span<const uint8_t> key,
+                                       std::span<const uint8_t> value);
 
   // Inserts a fresh key (caller guarantees absence). `walked` carries the
   // chain buckets a preceding Find() already read; pass empty to re-walk.
-  Status Insert(std::span<const uint8_t> key, std::span<const uint8_t> value,
-                std::vector<WalkedBucket> walked);
+  Status Insert(std::span<const uint8_t> key, const KeyHash& kh,
+                std::span<const uint8_t> value, std::vector<WalkedBucket>& walked);
 
   // Removes the entry at `loc` and frees its storage; rewrites the bucket and
   // unlinks it from the chain if it became empty.
@@ -165,6 +177,14 @@ class HashIndex {
   uint64_t num_kvs_ = 0;
   uint64_t payload_bytes_ = 0;
   HashIndexStats stats_;
+
+  // Slabs up to this size are read whole into a stack buffer (§3.3.1).
+  static constexpr uint32_t kMaxPaperSlabBytes = 512;
+  // Reused buffers: a steady-state GET or PUT allocates only the value it
+  // hands back.
+  std::vector<uint8_t> image_;
+  std::vector<uint8_t> large_slab_;
+  std::vector<WalkedBucket> walked_;
 };
 
 }  // namespace kvd

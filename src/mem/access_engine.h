@@ -85,7 +85,7 @@ class DirectEngine final : public AccessEngine {
 };
 
 // Records the access sequence of the current operation on top of a base
-// engine. The KV processor brackets each operation with BeginOp()/TakeTrace()
+// engine. The KV processor brackets each operation with BeginOp()/SwapTrace()
 // and hands the trace to the timing pipeline.
 class TraceRecordingEngine final : public AccessEngine {
  public:
@@ -110,9 +110,12 @@ class TraceRecordingEngine final : public AccessEngine {
     trace_.clear();
     recording_ = true;
   }
-  std::vector<AccessRecord> TakeTrace() {
+  // Stops recording and swaps the recorded trace into `out`; `out`'s old
+  // buffer becomes the next operation's recording buffer, so a caller that
+  // recycles its vectors makes recording allocation-free.
+  void SwapTrace(std::vector<AccessRecord>& out) {
     recording_ = false;
-    return std::move(trace_);
+    trace_.swap(out);
   }
 
  private:

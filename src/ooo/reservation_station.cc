@@ -65,8 +65,8 @@ ReservationStation::Action ReservationStation::Admit(uint64_t op_id, uint16_t sl
   if (config_.enable_out_of_order && slot.state == SlotState::kCached &&
       slot.digest == key_digest) {
     bool same_key_parked = false;
-    for (const Parked& parked : slot.parked) {
-      if (parked.key_digest == key_digest) {
+    for (size_t i = 0; i < slot.parked.size(); i++) {
+      if (slot.parked[i].key_digest == key_digest) {
         same_key_parked = true;
         break;
       }
@@ -110,46 +110,44 @@ ReservationStation::Action ReservationStation::Admit(uint64_t op_id, uint16_t sl
   return Action::kPark;
 }
 
-std::vector<uint64_t> ReservationStation::CompletePipeline(uint16_t slot_idx) {
+void ReservationStation::CompletePipeline(uint16_t slot_idx,
+                                          std::vector<uint64_t>& fast_path) {
+  fast_path.clear();
   Slot& slot = slots_[slot_idx];
   if (slot.state == SlotState::kPipelineShared) {
     KVD_CHECK(slot.shared_readers > 0);
     slot.shared_readers--;
     NoteInflight(-1);
-    if (slot.shared_readers > 0) {
-      return {};  // other reads still in flight; slot stays shared
+    if (slot.shared_readers == 0) {
+      slot.state = SlotState::kCached;
     }
-    slot.state = SlotState::kCached;
-    return {};
+    return;  // while other reads are in flight the slot stays shared
   }
   KVD_CHECK(slot.state == SlotState::kPipeline);
   slot.state = SlotState::kCached;
   NoteInflight(-1);
 
-  std::vector<uint64_t> fast_path;
   if (!config_.enable_out_of_order) {
     // Strawman: no forwarding; parked operations re-issue one at a time via
     // TryIssueNext, paying full latency each.
-    return fast_path;
+    return;
   }
   // Scan the whole chain and forward every matching-key operation from the
   // cached value ("operations with matching key are executed immediately and
   // removed", §3.3.3). Different-key entries are false positives with no
   // ordering constraint against this key; they keep their relative order.
-  for (auto it = slot.parked.begin(); it != slot.parked.end();) {
-    if (it->key_digest == slot.digest) {
-      if (it->is_write) {
-        slot.dirty = true;
-      }
-      fast_path.push_back(it->op_id);
-      NoteInflight(-1);
-      stats_.fast_path_ops++;
-      it = slot.parked.erase(it);
-    } else {
-      ++it;
+  slot.parked.RemoveIf([&](const Parked& parked) {
+    if (parked.key_digest != slot.digest) {
+      return false;
     }
-  }
-  return fast_path;
+    if (parked.is_write) {
+      slot.dirty = true;
+    }
+    fast_path.push_back(parked.op_id);
+    NoteInflight(-1);
+    stats_.fast_path_ops++;
+    return true;
+  });
 }
 
 bool ReservationStation::NeedsWriteback(uint16_t slot_idx) const {

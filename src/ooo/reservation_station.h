@@ -28,11 +28,11 @@
 #define SRC_OOO_RESERVATION_STATION_H_
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "src/common/assert.h"
+#include "src/common/ring_queue.h"
 #include "src/obs/metric_registry.h"
 
 namespace kvd {
@@ -71,9 +71,15 @@ class ReservationStation {
   Action Admit(uint64_t op_id, uint16_t slot, uint64_t key_digest, bool is_write);
 
   // The main-pipeline operation for `slot` finished. Transitions the slot to
-  // Cached and returns the parked same-key operations to retire via the fast
-  // path, in arrival order. (Empty when out-of-order execution is disabled.)
-  std::vector<uint64_t> CompletePipeline(uint16_t slot);
+  // Cached and fills `fast_path` (cleared first) with the parked same-key
+  // operations to retire via the fast path, in arrival order. (Empty when
+  // out-of-order execution is disabled.)
+  void CompletePipeline(uint16_t slot, std::vector<uint64_t>& fast_path);
+  std::vector<uint64_t> CompletePipeline(uint16_t slot) {
+    std::vector<uint64_t> fast_path;
+    CompletePipeline(slot, fast_path);
+    return fast_path;
+  }
 
   // True if the slot's cached value is dirty and no write-back is in flight.
   bool NeedsWriteback(uint16_t slot) const;
@@ -106,9 +112,9 @@ class ReservationStation {
   enum class SlotState : uint8_t { kIdle, kPipeline, kPipelineShared, kCached };
 
   struct Parked {
-    uint64_t op_id;
-    uint64_t key_digest;
-    bool is_write;
+    uint64_t op_id = 0;
+    uint64_t key_digest = 0;
+    bool is_write = false;
   };
 
   struct Slot {
@@ -117,7 +123,7 @@ class ReservationStation {
     bool dirty = false;
     bool writeback_inflight = false;
     uint32_t shared_readers = 0;  // stall mode: reads in flight concurrently
-    std::deque<Parked> parked;
+    RingQueue<Parked> parked;
   };
 
   void NoteInflight(int delta);

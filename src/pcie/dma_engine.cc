@@ -26,107 +26,133 @@ PcieLink& DmaEngine::PickLink(uint64_t address) {
   return *links_[Mix64(line) % links_.size()];
 }
 
-void DmaEngine::Read(uint64_t address, uint32_t bytes, std::function<void()> done,
+uint32_t DmaEngine::NumTlps(uint32_t bytes) const {
+  const uint32_t max_payload = config_.link.max_payload_bytes;
+  return (bytes + max_payload - 1) / max_payload;
+}
+
+uint32_t DmaEngine::NewTlp(uint32_t transfer, uint64_t address, uint32_t bytes) {
+  const uint32_t tlp = tlps_.Allocate();
+  tlps_[tlp] = Tlp{transfer, bytes, 1, address, 0};
+  return tlp;
+}
+
+void DmaEngine::Read(uint64_t address, uint32_t bytes, InlineCallback done,
                      bool random_access, uint64_t trace) {
   KVD_CHECK(bytes > 0);
   reads_issued_++;
-  const uint32_t max_payload = config_.link.max_payload_bytes;
-  const uint32_t num_tlps = (bytes + max_payload - 1) / max_payload;
+  const uint32_t num_tlps = NumTlps(bytes);
+  const uint32_t transfer = transfers_.Allocate();
+  {
+    Transfer& t = transfers_[transfer];
+    t.remaining_tlps = num_tlps;
+    t.random_access = random_access;
+    t.trace = trace;
+    t.done = std::move(done);
+  }
 
   // Fan out TLPs; `done` fires when the last completion arrives.
-  auto remaining = std::make_shared<uint32_t>(num_tlps);
-  auto on_tlp_done = [this, remaining, done = std::move(done)]() mutable {
-    read_tags_.Release(1);
-    if (--*remaining == 0) {
-      done();
-    }
-  };
-
+  const uint32_t max_payload = config_.link.max_payload_bytes;
   uint32_t offset = 0;
   for (uint32_t i = 0; i < num_tlps; i++) {
     const uint32_t chunk = std::min(max_payload, bytes - offset);
-    const uint64_t chunk_address = address + offset;
+    const uint32_t tlp = NewTlp(transfer, address + offset, chunk);
     offset += chunk;
     // Each in-flight read TLP needs a unique tag to match its completion.
-    read_tags_.Acquire(
-        1, [this, chunk, chunk_address, random_access, trace, on_tlp_done] {
-          SubmitReadTlp(chunk_address, chunk, random_access, 1, trace,
-                        on_tlp_done);
-        });
+    read_tags_.Acquire(1, [this, tlp] { SubmitReadTlp(tlp); });
   }
 }
 
-void DmaEngine::SubmitReadTlp(uint64_t address, uint32_t bytes, bool random_access,
-                              uint32_t attempt, uint64_t trace,
-                              std::function<void()> on_done) {
-  const SimTime start = sim_.Now();
-  PickLink(address).SubmitRead(
-      bytes, random_access,
-      [this, address, bytes, random_access, attempt, trace, start,
-       on_done = std::move(on_done)]() mutable {
-        if (trace != 0 && request_tracer_ != nullptr) {
-          request_tracer_->Span(trace, SpanKind::kDmaTlp, start, sim_.Now(),
-                                bytes);
-        }
-        if (fault_ != nullptr &&
-            fault_->ShouldInject(FaultSite::kPcieReadCompletion)) {
-          // Transient completion error: replay the TLP. The tag stays held
-          // for the whole transaction, exactly as the hardware would keep it
-          // allocated until a good completion arrives.
-          KVD_CHECK_MSG(attempt < config_.max_tlp_attempts,
-                        "PCIe read TLP failed after retry budget");
-          read_retries_++;
-          SubmitReadTlp(address, bytes, random_access, attempt + 1, trace,
-                        std::move(on_done));
-          return;
-        }
-        on_done();
-      });
+void DmaEngine::TraceTlp(const Tlp& tlp) {
+  if (request_tracer_ == nullptr) {
+    return;
+  }
+  const uint64_t trace = transfers_[tlp.transfer].trace;
+  if (trace != 0) {
+    request_tracer_->Span(trace, SpanKind::kDmaTlp, tlp.start, sim_.Now(),
+                          tlp.bytes);
+  }
 }
 
-void DmaEngine::SubmitWriteTlp(uint64_t address, uint32_t bytes, uint32_t attempt,
-                               uint64_t trace, std::function<void()> on_done) {
-  const SimTime start = sim_.Now();
-  PickLink(address).SubmitWrite(
-      bytes, [this, address, bytes, attempt, trace, start,
-              on_done = std::move(on_done)]() mutable {
-        if (trace != 0 && request_tracer_ != nullptr) {
-          request_tracer_->Span(trace, SpanKind::kDmaTlp, start, sim_.Now(),
-                                bytes);
-        }
-        if (fault_ != nullptr &&
-            fault_->ShouldInject(FaultSite::kPcieWriteCompletion)) {
-          KVD_CHECK_MSG(attempt < config_.max_tlp_attempts,
-                        "PCIe write TLP failed after retry budget");
-          write_retries_++;
-          SubmitWriteTlp(address, bytes, attempt + 1, trace,
-                         std::move(on_done));
-          return;
-        }
-        on_done();
-      });
+void DmaEngine::SubmitReadTlp(uint32_t tlp) {
+  Tlp& state = tlps_[tlp];
+  state.start = sim_.Now();
+  PickLink(state.address)
+      .SubmitRead(state.bytes, transfers_[state.transfer].random_access,
+                  [this, tlp] { OnReadTlpDone(tlp); });
 }
 
-void DmaEngine::Write(uint64_t address, uint32_t bytes, std::function<void()> done,
+void DmaEngine::OnReadTlpDone(uint32_t tlp) {
+  Tlp& state = tlps_[tlp];
+  TraceTlp(state);
+  if (fault_ != nullptr && fault_->ShouldInject(FaultSite::kPcieReadCompletion)) {
+    // Transient completion error: replay the TLP. The tag stays held for
+    // the whole transaction, exactly as the hardware would keep it
+    // allocated until a good completion arrives.
+    KVD_CHECK_MSG(state.attempt < config_.max_tlp_attempts,
+                  "PCIe read TLP failed after retry budget");
+    read_retries_++;
+    state.attempt++;
+    SubmitReadTlp(tlp);
+    return;
+  }
+  read_tags_.Release(1);
+  FinishTlp(tlp);
+}
+
+void DmaEngine::FinishTlp(uint32_t tlp) {
+  const uint32_t transfer = tlps_[tlp].transfer;
+  tlps_.Free(tlp);
+  Transfer& t = transfers_[transfer];
+  if (--t.remaining_tlps == 0) {
+    InlineCallback done = std::move(t.done);
+    transfers_.Free(transfer);
+    done();
+  }
+}
+
+void DmaEngine::SubmitWriteTlp(uint32_t tlp) {
+  Tlp& state = tlps_[tlp];
+  state.start = sim_.Now();
+  PickLink(state.address).SubmitWrite(state.bytes,
+                                      [this, tlp] { OnWriteTlpDone(tlp); });
+}
+
+void DmaEngine::OnWriteTlpDone(uint32_t tlp) {
+  Tlp& state = tlps_[tlp];
+  TraceTlp(state);
+  if (fault_ != nullptr && fault_->ShouldInject(FaultSite::kPcieWriteCompletion)) {
+    KVD_CHECK_MSG(state.attempt < config_.max_tlp_attempts,
+                  "PCIe write TLP failed after retry budget");
+    write_retries_++;
+    state.attempt++;
+    SubmitWriteTlp(tlp);
+    return;
+  }
+  FinishTlp(tlp);
+}
+
+void DmaEngine::Write(uint64_t address, uint32_t bytes, InlineCallback done,
                       uint64_t trace) {
   KVD_CHECK(bytes > 0);
   writes_issued_++;
+  const uint32_t num_tlps = NumTlps(bytes);
+  const uint32_t transfer = transfers_.Allocate();
+  {
+    Transfer& t = transfers_[transfer];
+    t.remaining_tlps = num_tlps;
+    t.random_access = false;
+    t.trace = trace;
+    t.done = std::move(done);
+  }
+
   const uint32_t max_payload = config_.link.max_payload_bytes;
-  const uint32_t num_tlps = (bytes + max_payload - 1) / max_payload;
-
-  auto remaining = std::make_shared<uint32_t>(num_tlps);
-  auto on_tlp_done = [remaining, done = std::move(done)]() mutable {
-    if (--*remaining == 0) {
-      done();
-    }
-  };
-
   uint32_t offset = 0;
   for (uint32_t i = 0; i < num_tlps; i++) {
     const uint32_t chunk = std::min(max_payload, bytes - offset);
-    const uint64_t chunk_address = address + offset;
+    const uint32_t tlp = NewTlp(transfer, address + offset, chunk);
     offset += chunk;
-    SubmitWriteTlp(chunk_address, chunk, 1, trace, on_tlp_done);
+    SubmitWriteTlp(tlp);
   }
 }
 

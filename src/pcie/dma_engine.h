@@ -9,10 +9,10 @@
 #define SRC_PCIE_DMA_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
+#include "src/common/index_pool.h"
 #include "src/fault/fault_injector.h"
 #include "src/obs/request_trace.h"
 #include "src/pcie/pcie_link.h"
@@ -38,11 +38,11 @@ class DmaEngine {
   // DMA read of `bytes` starting at `address`; `done` fires when all
   // completions have arrived. `random_access` selects uncached latency.
   // `trace` (if nonzero) records one kDmaTlp span per TLP attempt.
-  void Read(uint64_t address, uint32_t bytes, std::function<void()> done,
+  void Read(uint64_t address, uint32_t bytes, InlineCallback done,
             bool random_access = true, uint64_t trace = 0);
 
   // Posted DMA write; `done` fires when the last TLP is on the wire.
-  void Write(uint64_t address, uint32_t bytes, std::function<void()> done,
+  void Write(uint64_t address, uint32_t bytes, InlineCallback done,
              uint64_t trace = 0);
 
   const DmaEngineConfig& config() const { return config_; }
@@ -67,14 +67,37 @@ class DmaEngine {
   LatencyHistogram AggregateReadLatency() const;
 
  private:
+  // One DMA request: `done` fires when its last TLP finishes.
+  struct Transfer {
+    uint32_t remaining_tlps = 0;
+    bool random_access = false;
+    uint64_t trace = 0;
+    InlineCallback done;
+  };
+  // One TLP of a transfer, alive from submission (reads: tag grant) until
+  // a good completion; replays after injected errors reuse the entry.
+  struct Tlp {
+    uint32_t transfer = 0;  // index into transfers_
+    uint32_t bytes = 0;
+    uint32_t attempt = 0;
+    uint64_t address = 0;
+    SimTime start = 0;
+  };
+
   PcieLink& PickLink(uint64_t address);
+  // Number of max-payload TLPs a transfer of `bytes` is split into.
+  uint32_t NumTlps(uint32_t bytes) const;
+  uint32_t NewTlp(uint32_t transfer, uint64_t address, uint32_t bytes);
   // One TLP transmission; on an injected transient completion error, re-runs
-  // itself with `attempt + 1` until the budget is spent.
-  void SubmitReadTlp(uint64_t address, uint32_t bytes, bool random_access,
-                     uint32_t attempt, uint64_t trace,
-                     std::function<void()> on_done);
-  void SubmitWriteTlp(uint64_t address, uint32_t bytes, uint32_t attempt,
-                      uint64_t trace, std::function<void()> on_done);
+  // itself with the next attempt until the budget is spent.
+  void SubmitReadTlp(uint32_t tlp);
+  void OnReadTlpDone(uint32_t tlp);
+  void SubmitWriteTlp(uint32_t tlp);
+  void OnWriteTlpDone(uint32_t tlp);
+  // Records the kDmaTlp span of one attempt.
+  void TraceTlp(const Tlp& tlp);
+  // Retires `tlp`; fires its transfer's `done` when it was the last one.
+  void FinishTlp(uint32_t tlp);
 
   Simulator& sim_;
   DmaEngineConfig config_;
@@ -82,6 +105,8 @@ class DmaEngine {
   RequestTracer* request_tracer_ = nullptr;
   std::vector<std::unique_ptr<PcieLink>> links_;
   TokenPool read_tags_;
+  IndexPool<Transfer> transfers_;
+  IndexPool<Tlp> tlps_;
   uint64_t reads_issued_ = 0;
   uint64_t writes_issued_ = 0;
   uint64_t read_retries_ = 0;

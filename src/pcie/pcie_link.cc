@@ -49,43 +49,64 @@ SimTime PcieLink::SampleReadLatency(bool random_access) {
 }
 
 void PcieLink::SubmitRead(uint32_t payload_bytes, bool random_access,
-                          std::function<void()> done) {
+                          InlineCallback done) {
   KVD_CHECK(payload_bytes > 0 && payload_bytes <= config_.max_payload_bytes);
-  nonposted_credits_.Acquire(1, [this, payload_bytes, random_access,
-                                 done = std::move(done)]() mutable {
-    read_tlps_++;
-    // Request header travels upstream; credit returns once the host root
-    // complex has consumed the request.
-    const SimTime request_at_host = SerializeUpstream(config_.tlp_header_bytes);
-    sim_.ScheduleAt(request_at_host + config_.host_consume_latency,
-                    [this] { nonposted_credits_.Release(1); });
-
-    // Host memory access, then the completion TLP travels downstream.
-    const SimTime mem_done = request_at_host + SampleReadLatency(random_access);
-    const SimTime issue_time = sim_.Now();
-    sim_.ScheduleAt(mem_done, [this, payload_bytes, issue_time,
-                               done = std::move(done)]() mutable {
-      const SimTime completion_arrival =
-          SerializeDownstream(config_.tlp_header_bytes + payload_bytes);
-      sim_.ScheduleAt(completion_arrival,
-                      [this, issue_time, done = std::move(done)] {
-        read_latency_.Add((sim_.Now() - issue_time) / kNanosecond);
-        done();
-      });
-    });
-  });
+  const uint32_t tlp = tlps_.Allocate();
+  Tlp& state = tlps_[tlp];
+  state.payload_bytes = payload_bytes;
+  state.random_access = random_access;
+  state.done = std::move(done);
+  nonposted_credits_.Acquire(1, [this, tlp] { IssueRead(tlp); });
 }
 
-void PcieLink::SubmitWrite(uint32_t payload_bytes, std::function<void()> done) {
+void PcieLink::IssueRead(uint32_t tlp) {
+  read_tlps_++;
+  // Request header travels upstream; credit returns once the host root
+  // complex has consumed the request.
+  const SimTime request_at_host = SerializeUpstream(config_.tlp_header_bytes);
+  sim_.ScheduleAt(request_at_host + config_.host_consume_latency,
+                  [this] { nonposted_credits_.Release(1); });
+
+  // Host memory access, then the completion TLP travels downstream.
+  Tlp& state = tlps_[tlp];
+  const SimTime mem_done = request_at_host + SampleReadLatency(state.random_access);
+  state.issue_time = sim_.Now();
+  sim_.ScheduleAt(mem_done, [this, tlp] { ReadDataReady(tlp); });
+}
+
+void PcieLink::ReadDataReady(uint32_t tlp) {
+  const SimTime completion_arrival =
+      SerializeDownstream(config_.tlp_header_bytes + tlps_[tlp].payload_bytes);
+  sim_.ScheduleAt(completion_arrival, [this, tlp] { CompleteRead(tlp); });
+}
+
+void PcieLink::CompleteRead(uint32_t tlp) {
+  Tlp& state = tlps_[tlp];
+  read_latency_.Add((sim_.Now() - state.issue_time) / kNanosecond);
+  InlineCallback done = std::move(state.done);
+  tlps_.Free(tlp);
+  done();
+}
+
+void PcieLink::SubmitWrite(uint32_t payload_bytes, InlineCallback done) {
   KVD_CHECK(payload_bytes > 0 && payload_bytes <= config_.max_payload_bytes);
-  posted_credits_.Acquire(1, [this, payload_bytes, done = std::move(done)]() mutable {
-    write_tlps_++;
-    const SimTime on_wire = SerializeUpstream(config_.tlp_header_bytes + payload_bytes);
-    // Posted semantics: complete at the requester once the TLP is sent.
-    sim_.ScheduleAt(on_wire, std::move(done));
-    sim_.ScheduleAt(on_wire + config_.host_consume_latency,
-                    [this] { posted_credits_.Release(1); });
-  });
+  const uint32_t tlp = tlps_.Allocate();
+  Tlp& state = tlps_[tlp];
+  state.payload_bytes = payload_bytes;
+  state.done = std::move(done);
+  posted_credits_.Acquire(1, [this, tlp] { IssueWrite(tlp); });
+}
+
+void PcieLink::IssueWrite(uint32_t tlp) {
+  write_tlps_++;
+  Tlp& state = tlps_[tlp];
+  const SimTime on_wire =
+      SerializeUpstream(config_.tlp_header_bytes + state.payload_bytes);
+  // Posted semantics: complete at the requester once the TLP is sent.
+  sim_.ScheduleAt(on_wire, std::move(state.done));
+  tlps_.Free(tlp);
+  sim_.ScheduleAt(on_wire + config_.host_consume_latency,
+                  [this] { posted_credits_.Release(1); });
 }
 
 void PcieLink::RegisterMetrics(MetricRegistry& registry) const {

@@ -16,9 +16,9 @@
 #define SRC_PCIE_PCIE_LINK_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
+#include "src/common/index_pool.h"
 #include "src/common/random.h"
 #include "src/common/stats.h"
 #include "src/common/units.h"
@@ -47,10 +47,10 @@ class PcieLink {
   // Issues one read TLP of `payload_bytes` (<= max_payload_bytes).
   // `random_access` selects the uncached latency distribution.
   // `done` fires when the completion has fully arrived back at the NIC.
-  void SubmitRead(uint32_t payload_bytes, bool random_access, std::function<void()> done);
+  void SubmitRead(uint32_t payload_bytes, bool random_access, InlineCallback done);
 
   // Issues one posted write TLP. `done` fires when the TLP is on the wire.
-  void SubmitWrite(uint32_t payload_bytes, std::function<void()> done);
+  void SubmitWrite(uint32_t payload_bytes, InlineCallback done);
 
   const PcieLinkConfig& config() const { return config_; }
 
@@ -70,6 +70,19 @@ class PcieLink {
   SimTime SerializeDownstream(uint32_t bytes);  // returns completion time
   SimTime SampleReadLatency(bool random_access);
 
+  // One TLP from submission until its requester is told it is done; the
+  // timed callbacks below capture only [this, index into tlps_].
+  struct Tlp {
+    SimTime issue_time = 0;
+    uint32_t payload_bytes = 0;
+    bool random_access = false;
+    InlineCallback done;
+  };
+  void IssueRead(uint32_t tlp);      // non-posted credit granted
+  void ReadDataReady(uint32_t tlp);  // host memory access finished
+  void CompleteRead(uint32_t tlp);   // completion TLP arrived at the NIC
+  void IssueWrite(uint32_t tlp);     // posted credit granted
+
   Simulator& sim_;
   PcieLinkConfig config_;
   std::string name_;
@@ -82,6 +95,7 @@ class PcieLink {
 
   TokenPool nonposted_credits_;
   TokenPool posted_credits_;
+  IndexPool<Tlp> tlps_;
 
   uint64_t read_tlps_ = 0;
   uint64_t write_tlps_ = 0;

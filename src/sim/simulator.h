@@ -4,21 +4,25 @@
 // driven by one Simulator instance. Events execute in (time, sequence) order;
 // the sequence tiebreak makes same-timestamp behaviour deterministic, which
 // keeps every benchmark bit-reproducible across runs.
+//
+// Event core (DESIGN.md §3): each pending event's callable sits in a slot
+// pool recycled through a free list, and a 4-ary min-heap orders compact
+// {when, sequence, slot} keys. Callables are InlineCallbacks, so an event
+// whose capture fits 64 B costs no heap allocation once the pool is warm.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <vector>
 
 #include "src/common/units.h"
+#include "src/sim/inline_callback.h"
 
 namespace kvd {
 
 class Simulator {
  public:
-  using Callback = std::function<void()>;
+  using Callback = InlineCallback;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -42,28 +46,27 @@ class Simulator {
   // Runs until the event queue is empty.
   void RunUntilIdle();
 
-  size_t pending_events() const { return queue_.size(); }
+  size_t pending_events() const { return heap_.size(); }
   uint64_t executed_events() const { return executed_; }
 
  private:
-  struct Entry {
+  struct Key {
     SimTime when;
     uint64_t sequence;
-    Callback fn;
+    uint32_t slot;  // index into slots_
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.sequence > b.sequence;
-    }
-  };
+  static bool Earlier(const Key& a, const Key& b) {
+    return a.when != b.when ? a.when < b.when : a.sequence < b.sequence;
+  }
+  void SiftUp(size_t i);
+  void SiftDown(size_t i);
 
   SimTime now_ = 0;
   uint64_t next_sequence_ = 0;
   uint64_t executed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::vector<Key> heap_;            // 4-ary min-heap on (when, sequence)
+  std::vector<Callback> slots_;      // pending callables, by slot
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace kvd

@@ -13,7 +13,7 @@ void TokenPool::NoteAcquired(uint32_t count) {
   }
 }
 
-void TokenPool::Acquire(uint32_t count, std::function<void()> granted) {
+void TokenPool::Acquire(uint32_t count, InlineCallback granted) {
   KVD_CHECK_MSG(count <= capacity_, "acquire larger than pool capacity");
   // FIFO fairness: if anyone is already waiting, queue behind them even if
   // tokens are currently free (they are reserved for the head waiter).

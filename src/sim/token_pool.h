@@ -8,11 +8,11 @@
 #define SRC_SIM_TOKEN_POOL_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 
 #include "src/common/assert.h"
+#include "src/common/ring_queue.h"
+#include "src/sim/inline_callback.h"
 
 namespace kvd {
 
@@ -23,7 +23,7 @@ class TokenPool {
 
   // Acquires `count` tokens; `granted` runs immediately if they are free,
   // otherwise when enough releases have happened (FIFO among waiters).
-  void Acquire(uint32_t count, std::function<void()> granted);
+  void Acquire(uint32_t count, InlineCallback granted);
 
   // Returns tokens to the pool and wakes eligible waiters in order.
   void Release(uint32_t count);
@@ -43,8 +43,8 @@ class TokenPool {
 
  private:
   struct Waiter {
-    uint32_t count;
-    std::function<void()> granted;
+    uint32_t count = 0;
+    InlineCallback granted;
   };
 
   void NoteAcquired(uint32_t count);
@@ -55,7 +55,7 @@ class TokenPool {
   uint32_t peak_in_use_ = 0;
   uint64_t total_acquires_ = 0;
   uint64_t total_waits_ = 0;
-  std::deque<Waiter> waiters_;
+  RingQueue<Waiter> waiters_;
 };
 
 }  // namespace kvd

@@ -1,14 +1,19 @@
-// Unit tests for src/common: status, RNG, Zipf, statistics, hashing.
+// Unit tests for src/common: status, RNG, Zipf, statistics, hashing, and the
+// pooled containers (RingQueue, IndexPool).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <cmath>
+#include <deque>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "src/common/hashing.h"
+#include "src/common/index_pool.h"
 #include "src/common/random.h"
+#include "src/common/ring_queue.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
@@ -353,6 +358,88 @@ TEST(UnitsTest, PicosPerByteRoundTrip) {
   EXPECT_DOUBLE_EQ(PicosPerByte(1e9), 1000.0);
   // PCIe Gen3 x8: 7.87 GB/s -> ~127 ps per byte.
   EXPECT_NEAR(PicosPerByte(7.87e9), 127.06, 0.01);
+}
+
+// --- RingQueue / IndexPool ---
+
+TEST(RingQueueTest, MatchesDequeAcrossWrapAndGrowth) {
+  RingQueue<int> ring;
+  std::deque<int> reference;
+  Rng rng(11);
+  int next = 0;
+  for (int step = 0; step < 5000; step++) {
+    if (reference.empty() || rng.NextBelow(3) != 0) {
+      ring.push_back(next);
+      reference.push_back(next);
+      next++;
+    } else {
+      ASSERT_EQ(ring.front(), reference.front());
+      ring.pop_front();
+      reference.pop_front();
+    }
+    ASSERT_EQ(ring.size(), reference.size());
+  }
+  for (size_t i = 0; i < reference.size(); i++) {
+    EXPECT_EQ(ring[i], reference[i]);
+  }
+}
+
+TEST(RingQueueTest, RemoveIfKeepsOrderAndVisitsEachOnce) {
+  RingQueue<int> ring;
+  for (int i = 0; i < 6; i++) {
+    ring.push_back(i);
+  }
+  ring.pop_front();
+  ring.pop_front();  // head is now mid-buffer, so the scan wraps
+  for (int i = 6; i < 10; i++) {
+    ring.push_back(i);
+  }
+  std::vector<int> removed;
+  ring.RemoveIf([&](int v) {
+    if (v % 2 == 0) {
+      removed.push_back(v);
+      return true;
+    }
+    return false;
+  });
+  EXPECT_EQ(removed, (std::vector<int>{2, 4, 6, 8}));
+  ASSERT_EQ(ring.size(), 4u);
+  EXPECT_EQ(ring[0], 3);
+  EXPECT_EQ(ring[1], 5);
+  EXPECT_EQ(ring[2], 7);
+  EXPECT_EQ(ring[3], 9);
+}
+
+TEST(RingQueueTest, PopReleasesHeldResources) {
+  auto token = std::make_shared<int>(0);
+  RingQueue<std::shared_ptr<int>> ring;
+  ring.push_back(token);
+  ring.push_back(token);
+  EXPECT_EQ(token.use_count(), 3);
+  ring.pop_front();
+  EXPECT_EQ(token.use_count(), 2);
+  ring.RemoveIf([](const std::shared_ptr<int>&) { return true; });
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(IndexPoolTest, RecyclesFreedSlots) {
+  IndexPool<int> pool;
+  const uint32_t a = pool.Allocate();
+  const uint32_t b = pool.Allocate();
+  EXPECT_NE(a, b);
+  pool[a] = 7;
+  pool.Free(a);
+  EXPECT_FALSE(pool.IsLive(a));
+  EXPECT_EQ(pool.Allocate(), a);
+  EXPECT_EQ(pool.live(), 2u);
+}
+
+TEST(IndexPoolTest, LivenessChecksCatchStaleIndices) {
+  IndexPool<int> pool;
+  const uint32_t a = pool.Allocate();
+  pool.Free(a);
+  EXPECT_DEATH(pool[a], "free slot");
+  EXPECT_DEATH(pool.Free(a), "freed twice");
 }
 
 }  // namespace

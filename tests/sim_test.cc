@@ -1,8 +1,15 @@
 // Unit tests for the discrete-event simulator and token pools.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
+#include <queue>
+#include <tuple>
 #include <vector>
 
+#include "src/common/hashing.h"
+#include "src/sim/inline_callback.h"
 #include "src/sim/simulator.h"
 #include "src/sim/token_pool.h"
 
@@ -67,6 +74,135 @@ TEST(SimulatorTest, RunUntilAdvancesClockWhenIdle) {
 TEST(SimulatorTest, StepReturnsFalseWhenEmpty) {
   Simulator sim;
   EXPECT_FALSE(sim.Step());
+}
+
+// --- event core: exact (time, sequence) order against a reference model ---
+
+// One seeded event schedule, run twice: on the Simulator and on a reference
+// std::priority_queue of (time, sequence, id). Roots arrive in same-timestamp
+// bursts; each event schedules 0-2 children (some at delay 0) from inside its
+// callback, all decided by a hash of the event id so both runs agree.
+struct ScheduleSpec {
+  static constexpr uint32_t kTotalEvents = 10000;
+  static constexpr uint32_t kRoots = 1000;
+
+  static SimTime RootTime(uint32_t id) {
+    return (Mix64(id) % 64) * 100;  // 64 distinct instants: bursts of ~16
+  }
+  static uint32_t Children(uint32_t id) { return Mix64(id ^ 0xc0ffee) % 3; }
+  static SimTime ChildDelay(uint32_t id, uint32_t k) {
+    return (Mix64(id * 3 + k) % 4) * 50;  // 0, 50, 100 or 150 ps
+  }
+};
+
+struct Executed {
+  SimTime when;
+  uint32_t id;
+  bool operator==(const Executed&) const = default;
+};
+
+std::vector<Executed> RunOnSimulator() {
+  Simulator sim;
+  std::vector<Executed> order;
+  uint32_t next_id = 0;
+  std::function<void(uint32_t)> run = [&](uint32_t id) {
+    order.push_back({sim.Now(), id});
+    for (uint32_t k = 0; k < ScheduleSpec::Children(id); k++) {
+      if (next_id == ScheduleSpec::kTotalEvents) {
+        return;
+      }
+      const uint32_t child = next_id++;
+      sim.Schedule(ScheduleSpec::ChildDelay(id, k), [&run, child] { run(child); });
+    }
+  };
+  while (next_id < ScheduleSpec::kRoots) {
+    const uint32_t root = next_id++;
+    sim.ScheduleAt(ScheduleSpec::RootTime(root), [&run, root] { run(root); });
+  }
+  sim.RunUntilIdle();
+  return order;
+}
+
+std::vector<Executed> RunOnReferenceQueue() {
+  using Entry = std::tuple<SimTime, uint64_t, uint32_t>;  // when, sequence, id
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
+  uint64_t sequence = 0;
+  uint32_t next_id = 0;
+  while (next_id < ScheduleSpec::kRoots) {
+    const uint32_t root = next_id++;
+    queue.emplace(ScheduleSpec::RootTime(root), sequence++, root);
+  }
+  std::vector<Executed> order;
+  while (!queue.empty()) {
+    const auto [now, seq, id] = queue.top();
+    queue.pop();
+    order.push_back({now, id});
+    for (uint32_t k = 0; k < ScheduleSpec::Children(id); k++) {
+      if (next_id == ScheduleSpec::kTotalEvents) {
+        break;
+      }
+      queue.emplace(now + ScheduleSpec::ChildDelay(id, k), sequence++, next_id++);
+    }
+  }
+  return order;
+}
+
+TEST(SimulatorTest, MatchesReferencePriorityQueueOrder) {
+  const std::vector<Executed> expected = RunOnReferenceQueue();
+  ASSERT_EQ(expected.size(), ScheduleSpec::kTotalEvents);
+  EXPECT_EQ(RunOnSimulator(), expected);
+}
+
+TEST(SimulatorTest, LargeCaptureRunsThroughHeapFallback) {
+  Simulator sim;
+  std::array<uint64_t, 16> big;
+  for (size_t i = 0; i < big.size(); i++) {
+    big[i] = i + 1;
+  }
+  uint64_t sum = 0;
+  auto fn = [big, &sum] {
+    for (const uint64_t v : big) {
+      sum += v;
+    }
+  };
+  static_assert(sizeof(fn) > InlineCallback::kInlineBytes);
+  sim.Schedule(10, std::move(fn));
+  sim.RunUntilIdle();
+  EXPECT_EQ(sum, 136u);
+}
+
+TEST(SimulatorTest, MoveOnlyCapturesWork) {
+  Simulator sim;
+  int seen = 0;
+  sim.Schedule(5, [owned = std::make_unique<int>(42), &seen] { seen = *owned; });
+  // Moving a pending callable between InlineCallbacks keeps the capture.
+  InlineCallback a = [owned = std::make_unique<int>(7), &seen] { seen += *owned; };
+  InlineCallback b = std::move(a);
+  EXPECT_FALSE(static_cast<bool>(a));
+  sim.Schedule(6, std::move(b));
+  sim.RunUntilIdle();
+  EXPECT_EQ(seen, 49);
+}
+
+TEST(SimulatorTest, InvokingEmptyCallbackFailsCheck) {
+  InlineCallback empty;
+  EXPECT_FALSE(static_cast<bool>(empty));
+  EXPECT_DEATH(empty(), "empty InlineCallback");
+}
+
+TEST(SimulatorTest, PendingCapturesDestroyedWithSimulator) {
+  auto token = std::make_shared<int>(0);
+  {
+    Simulator sim;
+    sim.Schedule(10, [token] {});
+    std::array<uint64_t, 16> padding{};
+    sim.Schedule(20, [token, padding] { (void)padding; });  // heap fallback
+    sim.Schedule(30, [token] {});
+    sim.RunUntil(15);  // one ran and was destroyed; two stay pending
+    EXPECT_EQ(sim.pending_events(), 2u);
+    EXPECT_EQ(token.use_count(), 3);
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(TokenPoolTest, ImmediateGrantWhenAvailable) {
