@@ -14,6 +14,11 @@
 // crash cost the client, and — the acceptance bar — whether every
 // acknowledged write survived onto the new primary. A lost acknowledged
 // write makes the binary exit non-zero.
+//
+// Series 3 restarts a backup after the primary trimmed the log entries it
+// missed, so it rejoins by full state transfer; it reports the transfer's
+// size and the simulated time until the backup's log end matches the
+// primary's.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -182,6 +187,73 @@ FailoverPoint RunFailover(uint64_t seed) {
   return point;
 }
 
+struct ResyncPoint {
+  uint64_t state_transfers = 0;
+  uint64_t state_transfer_kvs = 0;
+  uint64_t state_transfer_bytes = 0;
+  double resync_us = 0;  // restart -> backup log_end equals the primary's
+};
+
+// A backup restarts after the primary trimmed the entries it missed, so it
+// can only rejoin through a full state transfer (the snapshot stream).
+ResyncPoint RunResync() {
+  ReplicationConfig config = BaseConfig(3);
+  config.max_log_entries = 16;
+  ReplicationGroup group(config);
+  ReplicatedClient client(group);
+  KvEndpoint& ep = client;  // the driver sees only the endpoint interface
+  Simulator& sim = group.simulator();
+
+  constexpr uint64_t kKeys = 300;
+  auto write_range = [&](uint64_t first, uint64_t last) {
+    for (uint64_t id = first; id < last; id++) {
+      KvOperation op;
+      op.opcode = Opcode::kPut;
+      op.key = Key(id);
+      op.value = U64Value(id * 7);
+      ep.Enqueue(std::move(op));
+      if (id % 32 == 31) {
+        ep.Flush();
+      }
+    }
+    ep.Flush();
+  };
+  write_range(0, 20);
+  group.CrashReplica(2);
+  write_range(20, kKeys);
+
+  // Transfers aimed at the backup while it was down went nowhere; count only
+  // the ones after the restart.
+  const ReplicationGroup::GroupStats before = group.stats();
+  group.RestartReplica(2);
+  const SimTime restarted = sim.Now();
+  const SimTime give_up = restarted + 50 * kMillisecond;
+  while (sim.Now() < give_up &&
+         (group.stats().state_transfers == before.state_transfers ||
+          group.log_end(2) != group.log_end(group.primary_id()))) {
+    KVD_CHECK(sim.Step());
+  }
+
+  const ReplicationGroup::GroupStats after = group.stats();
+  ResyncPoint point;
+  point.state_transfers = after.state_transfers - before.state_transfers;
+  point.state_transfer_kvs = after.state_transfer_kvs - before.state_transfer_kvs;
+  point.state_transfer_bytes =
+      after.state_transfer_bytes - before.state_transfer_bytes;
+  point.resync_us = static_cast<double>(sim.Now() - restarted) /
+                    static_cast<double>(kMicrosecond);
+  return point;
+}
+
+void AddResyncRow(kvd::bench::JsonReport& report, const ResyncPoint& r) {
+  report.BeginSeries("state_transfer");
+  report.AddRow({{"state_transfers", static_cast<double>(r.state_transfers)},
+                 {"state_transfer_kvs", static_cast<double>(r.state_transfer_kvs)},
+                 {"state_transfer_bytes",
+                  static_cast<double>(r.state_transfer_bytes)},
+                 {"resync_us", r.resync_us}});
+}
+
 // Latency attribution for a replicated workload: an RF-3 group with request
 // tracing on. Relative to a single server, writes gain log_append (retire ->
 // log append) and quorum_wait (append -> quorum commit) stages; the
@@ -332,6 +404,7 @@ int main(int argc, char** argv) {
                    {"throughput_mops", p.throughput_mops},
                    {"entries_per_write", p.entries_per_write},
                    {"backup_read_share", p.backup_read_share}});
+    kvd::AddResyncRow(report, kvd::RunResync());
     return report.WriteIfRequested(kvd::bench::JsonPathArg(argc, argv)) ? 0 : 1;
   }
 
@@ -373,6 +446,19 @@ int main(int argc, char** argv) {
                  {"acked_writes", static_cast<double>(f.acked_writes)},
                  {"lost_acked_writes", static_cast<double>(f.lost_acked_writes)}});
   failover_table.Print();
+
+  std::printf("\n=== Replication — backup resync by state transfer ===\n");
+  std::printf("(RF 3, max_log_entries 16: the restarted backup missed trimmed\n"
+              " entries; resync is restart -> log_end equal, simulated time)\n\n");
+  const kvd::ResyncPoint resync = kvd::RunResync();
+  TablePrinter resync_table(
+      {"state_transfers", "kvs", "bytes", "resync_us"});
+  resync_table.AddRow({TablePrinter::Int(resync.state_transfers),
+                       TablePrinter::Int(resync.state_transfer_kvs),
+                       TablePrinter::Int(resync.state_transfer_bytes),
+                       TablePrinter::Num(resync.resync_us, 1)});
+  resync_table.Print();
+  kvd::AddResyncRow(report, resync);
   kvd::TracedBreakdown(report);
   kvd::ShardedClusterHealth(report);
   std::printf("acknowledged writes lost in failover: %llu of %llu\n",
