@@ -4,8 +4,9 @@
 #
 #   1. layering guards — the transport layer (src/transport) must hold the
 #      only copy of the framing/replay-dedup logic, request traces must be
-#      the only tracing pipeline, and the timed memory path must stay on
-#      InlineCallback;
+#      the only tracing pipeline, the timed memory path must stay on
+#      InlineCallback, and snapshot chunks must come from the one snapshot
+#      stream;
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -56,6 +57,18 @@ functions=$(grep -nE 'std::function|<functional>' src/sim/*.h src/pcie/*.h \
 if [[ -n "${functions}" ]]; then
   echo "std::function found in a timed-path header:" >&2
   echo "${functions}" >&2
+  exit 1
+fi
+
+echo "=== layering guard: one snapshot stream ==="
+# Replica state transfer and shard-migration copy share one cut, chunker and
+# pacer (src/replica/snapshot_stream.*, DESIGN.md §9 and §14). A kStateChunk
+# message built anywhere else is a second snapshot streamer coming back.
+chunkers=$(grep -rnE 'MakeMessage\(ReplicaMessageType::kStateChunk|type = ReplicaMessageType::kStateChunk' \
+             src bench | grep -v '^src/replica/snapshot_stream\.' || true)
+if [[ -n "${chunkers}" ]]; then
+  echo "kStateChunk message built outside the snapshot stream:" >&2
+  echo "${chunkers}" >&2
   exit 1
 fi
 

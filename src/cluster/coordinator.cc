@@ -211,8 +211,7 @@ Status ClusterCoordinator::StartMigration(uint32_t partition,
         Opcode::kPut, (1ull << 62) | ++next_migration_trace_sequence_, 0);
   }
   stats_.migrations_started++;
-  InstallSnapshot();
-  SendCopyChunks();
+  StartCopy();
   ArmRetransmitTimer();
   std::shared_ptr<bool> alive = liveness_;
   sim_.ScheduleAt(sim_.Now() + config_.migration_poll_interval,
@@ -231,7 +230,7 @@ void ClusterCoordinator::DriveMigrationToCompletion() {
   }
 }
 
-void ClusterCoordinator::InstallSnapshot() {
+void ClusterCoordinator::StartCopy() {
   Migration& m = migration_;
   ReplicationGroup& source = *groups_[m.from];
   ReplicationGroup& dest = *groups_[m.to];
@@ -244,72 +243,38 @@ void ClusterCoordinator::InstallSnapshot() {
     dest.InstallSessionRecord(record.sequence, record.slot, record.result);
     stats_.sessions_migrated++;
   }
-  // Cut the KV snapshot and pre-frame every chunk: retransmissions must
+  // Cut the KV snapshot and frame every chunk once: retransmissions must
   // resend byte-identical frames. The cut is untimed (its cost is modeled by
-  // the paced stream below, exactly like replica state transfer). Writes
-  // in flight at the cut are harmless: their commit forwards re-read the
-  // then-current value, and forwarded keys are excluded from chunk installs.
-  auto kvs = source.SnapshotPartitionKvs(router, m.partition);
-  ReplicaMessage chunk;
-  chunk.type = ReplicaMessageType::kStateChunk;
-  chunk.epoch = map_.epoch;
-  chunk.sender = m.from;
-  uint32_t seq = 0;
-  auto flush_chunk = [&] {
-    chunk.chunk_seq = seq++;
-    m.chunk_kvs.push_back(static_cast<uint32_t>(chunk.kvs.size()));
-    m.chunks.push_back(
-        FramePacket(++next_copy_sequence_, EncodeReplicaMessage(chunk)));
-    chunk.kvs.clear();
-  };
-  for (auto& kv : kvs) {
-    chunk.kvs.emplace_back(std::move(kv.first), std::move(kv.second));
-    if (chunk.kvs.size() >= config_.copy_chunk_kvs) {
-      flush_chunk();
-    }
+  // the paced stream, exactly like replica state transfer). Writes in flight
+  // at the cut are harmless: their commit forwards re-read the then-current
+  // value, and forwarded keys are excluded from chunk installs.
+  SnapshotStream::Header header;
+  header.epoch = map_.epoch;
+  header.sender = m.from;
+  std::vector<SnapshotChunk> chunks =
+      SnapshotStream::Pack(header, source.SnapshotPartitionKvs(router, m.partition),
+                           config_.copy_chunk_kvs);
+  for (SnapshotChunk& chunk : chunks) {
+    chunk.bytes = FramePacket(++next_copy_sequence_, chunk.bytes);
   }
-  if (!chunk.kvs.empty()) {
-    flush_chunk();
-  }
-}
-
-void ClusterCoordinator::SendCopyChunks() {
-  Migration& m = migration_;
-  if (!m.active || m.phase != Migration::Phase::kCopy || m.sending ||
-      m.next_to_send >= m.chunks.size()) {
-    return;
-  }
-  m.sending = true;
-  const uint32_t index = m.next_to_send++;
-  const std::vector<uint8_t>& framed = m.chunks[index];
-  stats_.copy_chunks_sent++;
-  stats_.copy_bytes += framed.size();
   const uint64_t round = m.round;
-  std::shared_ptr<bool> alive = liveness_;
-  auto deliver = [this, alive, round](std::vector<uint8_t> packet) {
-    if (*alive) {
-      OnCopyChunkArrive(round, std::move(packet));
+  copy_stream_.Open(m.to);
+  copy_stream_.Start(std::move(chunks), [this, round](const SnapshotChunk& chunk) {
+    stats_.copy_chunks_sent++;
+    stats_.copy_bytes += chunk.bytes.size();
+    std::shared_ptr<bool> alive = liveness_;
+    auto deliver = [this, alive, round](std::vector<uint8_t> packet) {
+      if (*alive) {
+        OnCopyChunkArrive(round, std::move(packet));
+      }
+    };
+    if (migration_.trace != 0) {
+      const std::vector<uint64_t> traces{migration_.trace};
+      migration_net_->SendPayloadToServer(chunk.bytes, std::move(deliver),
+                                          traces, SpanKind::kNetWire);
+    } else {
+      migration_net_->SendPayloadToServer(chunk.bytes, std::move(deliver));
     }
-  };
-  if (m.trace != 0) {
-    const std::vector<uint64_t> traces{m.trace};
-    migration_net_->SendPayloadToServer(framed, std::move(deliver), traces,
-                                        SpanKind::kNetWire);
-  } else {
-    migration_net_->SendPayloadToServer(framed, std::move(deliver));
-  }
-  // Pace the stream: background copy must not starve foreground traffic, so
-  // the next chunk leaves once this one's bytes have had their slot at the
-  // configured copy rate.
-  const SimTime pace = std::max<SimTime>(
-      1, static_cast<SimTime>(static_cast<double>(framed.size()) /
-                              config_.copy_bytes_per_sec * kSecond));
-  sim_.ScheduleAt(sim_.Now() + pace, [this, alive, round] {
-    if (!*alive || !migration_.active || migration_.round != round) {
-      return;
-    }
-    migration_.sending = false;
-    SendCopyChunks();
   });
 }
 
@@ -382,7 +347,7 @@ void ClusterCoordinator::OnCopyAckArrive(uint64_t round,
   for (size_t i = 0; i < 4; i++) {
     installed |= static_cast<uint32_t>(frame.value().payload[i]) << (8 * i);
   }
-  if (installed > m.chunks.size()) {
+  if (installed > copy_stream_.size()) {
     return;  // corrupt beyond the checksum's reach: impossible cursor
   }
   m.acked = std::max(m.acked, installed);
@@ -398,19 +363,18 @@ void ClusterCoordinator::ArmRetransmitTimer() {
           return;
         }
         Migration& m = migration_;
-        if (m.acked < m.chunks.size() && m.acked == m.last_observed_ack) {
+        if (m.acked < copy_stream_.size() && m.acked == m.last_observed_ack) {
           // No cumulative progress for a full timeout: a chunk or its ack
           // was lost. Go back to the ack point and resend from there.
-          const uint32_t resent =
-              m.next_to_send > m.acked ? m.next_to_send - m.acked : 0;
+          const uint32_t next = copy_stream_.next();
+          const uint32_t resent = next > m.acked ? next - m.acked : 0;
           stats_.copy_chunk_retransmits += resent;
           if (m.trace != 0) {
             request_tracer_.Span(m.trace, SpanKind::kRetransmit,
                                  sim_.Now() - config_.copy_retransmit_timeout,
                                  sim_.Now(), m.acked);
           }
-          m.next_to_send = m.acked;
-          SendCopyChunks();
+          copy_stream_.Rewind(m.acked);
         }
         m.last_observed_ack = m.acked;
         ArmRetransmitTimer();
@@ -421,8 +385,9 @@ void ClusterCoordinator::PollMigration() {
   Migration& m = migration_;
   switch (m.phase) {
     case Migration::Phase::kCopy:
-      if (m.acked >= m.chunks.size()) {
+      if (m.acked >= copy_stream_.size()) {
         m.phase = Migration::Phase::kCatchUp;
+        copy_stream_.Close();
       }
       break;
     case Migration::Phase::kCatchUp:
@@ -515,8 +480,8 @@ void ClusterCoordinator::Flip() {
   map_.epoch++;
   map_.owners[m.partition] = m.to;
   const KeyRouter router = map_.router();
-  for (const auto& kv : source.SnapshotPartitionKvs(router, m.partition)) {
-    KVD_CHECK(source.Erase(kv.first).ok());
+  for (const auto& key : source.PartitionKeys(router, m.partition)) {
+    KVD_CHECK(source.Erase(key).ok());
     stats_.keys_erased++;
   }
   stats_.migrations_completed++;

@@ -191,16 +191,13 @@ class ClusterCoordinator {
     enum class Phase : uint8_t { kCopy, kCatchUp, kFrozen } phase = Phase::kCopy;
     uint64_t round = 0;  // guards stale scheduled callbacks
 
-    // Copy stream (go-back-N over the migration wire). `installed` is the
-    // receiver's cumulative cursor; `acked` is what the sender has learned
-    // of it through (equally fallible) ack packets.
-    std::vector<std::vector<uint8_t>> chunks;  // framed, checksummed
-    std::vector<uint32_t> chunk_kvs;           // KVs per chunk (stats)
-    uint32_t next_to_send = 0;
+    // Copy stream acks (go-back-N over the migration wire; the chunks and
+    // the send cursor live in copy_stream_). `installed` is the receiver's
+    // cumulative cursor; `acked` is what the sender has learned of it
+    // through (equally fallible) ack packets.
     uint32_t installed = 0;
     uint32_t acked = 0;
     uint32_t last_observed_ack = 0;  // retransmit-timer progress check
-    bool sending = false;            // a paced send loop is in flight
 
     // Keys dual-written (or deleted) by a forward: chunk installs skip them
     // so a retransmitted chunk cannot resurrect an older value.
@@ -214,8 +211,9 @@ class ClusterCoordinator {
   };
 
   void WireGroup(uint32_t index);
-  void InstallSnapshot();  // cut KVs + sessions at the source, build chunks
-  void SendCopyChunks();
+  // Installs the partition's session records at the destination, then cuts
+  // its KVs at the source and starts the copy stream.
+  void StartCopy();
   void OnCopyChunkArrive(uint64_t round, std::vector<uint8_t> packet);
   void OnCopyAckArrive(uint64_t round, std::vector<uint8_t> packet);
   void ArmRetransmitTimer();
@@ -232,6 +230,10 @@ class ClusterCoordinator {
   FlightRecorder flight_recorder_{sim_};
   std::unique_ptr<FaultInjector> migration_fault_;
   std::unique_ptr<NetworkModel> migration_net_;
+  // The active migration's copy: framed chunks, paced at copy_bytes_per_sec
+  // and open until every chunk is acked.
+  SnapshotStream copy_stream_{sim_, config_.copy_bytes_per_sec,
+                              /*await_acks=*/true};
   std::vector<std::unique_ptr<ReplicationGroup>> groups_;
   std::vector<uint8_t> active_;
   ShardMap map_;

@@ -68,6 +68,9 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
         std::make_unique<NetworkModel>(sim_, config_.replication_network);
     rep->repl_net->SetFaultInjector(fault_.get());
     rep->repl_net->SetRequestTracer(&request_tracer_);
+    constexpr double kStateTransferBytesPerSec = 5e9;  // resync rate bound
+    rep->snapshot = std::make_unique<SnapshotStream>(
+        sim_, kStateTransferBytesPerSec, /*await_acks=*/false);
     rep->endpoint = std::make_unique<FrameEndpoint>(
         sim_, ReplayCache::Config{config_.replay_cache_entries,
                                   config_.replay_retain_time});
@@ -172,25 +175,21 @@ void ReplicationGroup::InstallSessionRecord(uint64_t sequence, uint16_t slot,
   }
 }
 
-std::vector<std::pair<std::vector<uint8_t>, std::vector<uint8_t>>>
-ReplicationGroup::SnapshotPartitionKvs(const KeyRouter& router,
-                                       uint32_t partition) {
-  std::vector<std::pair<std::vector<uint8_t>, std::vector<uint8_t>>> kvs;
-  Replica& primary = Primary();
-  for (const auto& key : primary.keys) {
-    if (router.PartitionOf(key) != partition) {
-      continue;
+std::vector<SnapshotKv> ReplicationGroup::SnapshotPartitionKvs(
+    const KeyRouter& router, uint32_t partition) {
+  return SnapshotStream::Cut(*Primary().server, Primary().keys, &router,
+                             partition);
+}
+
+std::vector<std::vector<uint8_t>> ReplicationGroup::PartitionKeys(
+    const KeyRouter& router, uint32_t partition) const {
+  std::vector<std::vector<uint8_t>> keys;
+  for (const auto& key : replicas_[primary_view_]->keys) {
+    if (router.PartitionOf(key) == partition) {
+      keys.push_back(key);
     }
-    KvOperation get;
-    get.opcode = Opcode::kGet;
-    get.key = key;
-    KvResultMessage value = primary.server->Execute(get);
-    if (value.code != ResultCode::kOk) {
-      continue;
-    }
-    kvs.emplace_back(key, std::move(value.value));
   }
-  return kvs;
+  return keys;
 }
 
 std::vector<ReplicationGroup::SessionExport>
@@ -226,7 +225,7 @@ void ReplicationGroup::CrashReplica(uint32_t id) {
   DropInFlight(rep);
   rep.election_active = false;
   rep.election_replies.clear();
-  rep.sending_snapshot = false;
+  rep.snapshot->Close();
   if (rep.receiving_snapshot) {
     // A partial snapshot is unusable; restart from a clean slate on rejoin.
     WipeState(rep);
@@ -658,11 +657,16 @@ void ReplicationGroup::DropInFlight(Replica& rep) {
 void ReplicationGroup::SendReplicaMessage(uint32_t from, uint32_t to,
                                           const ReplicaMessage& msg,
                                           const std::vector<uint64_t>* traces) {
+  SendReplicaPayload(from, to, EncodeReplicaMessage(msg), traces);
+}
+
+void ReplicationGroup::SendReplicaPayload(uint32_t from, uint32_t to,
+                                          std::span<const uint8_t> payload,
+                                          const std::vector<uint64_t>* traces) {
   if (replicas_[from]->crashed) {
     return;
   }
-  std::vector<uint8_t> frame =
-      FramePacket(++next_repl_sequence_, EncodeReplicaMessage(msg));
+  std::vector<uint8_t> frame = FramePacket(++next_repl_sequence_, payload);
   std::shared_ptr<bool> alive = liveness_;
   auto deliver = [this, alive, to](std::vector<uint8_t> packet) {
     if (*alive) {
@@ -837,7 +841,7 @@ void ReplicationGroup::OnCatchupRequest(Replica& rep, const ReplicaMessage& msg)
   if (!rep.is_primary) {
     return;
   }
-  if (rep.sending_snapshot && rep.snapshot_target == msg.sender) {
+  if (rep.snapshot->SendingTo(msg.sender)) {
     return;  // already resyncing this peer
   }
   const uint64_t last = msg.last_index;
@@ -904,8 +908,7 @@ void ReplicationGroup::OnStateChunk(Replica& rep, const ReplicaMessage& msg) {
 
 void ReplicationGroup::PushAppends(Replica& primary) {
   for (uint32_t peer = 0; peer < num_replicas(); peer++) {
-    if (peer == primary.id ||
-        (primary.sending_snapshot && primary.snapshot_target == peer)) {
+    if (peer == primary.id || primary.snapshot->SendingTo(peer)) {
       continue;
     }
     SendWindow(primary, peer);
@@ -1117,7 +1120,7 @@ void ReplicationGroup::AdoptEpoch(Replica& rep, uint64_t epoch, uint32_t primary
 
 void ReplicationGroup::StepDown(Replica& rep) {
   rep.is_primary = false;
-  rep.sending_snapshot = false;
+  rep.snapshot->Close();
   // Forget quorum-waiting responses and in-flight replay entries: every
   // retransmission must be re-evaluated (and redirected) by the new history.
   DropInFlight(rep);
@@ -1138,7 +1141,7 @@ void ReplicationGroup::Promote(Replica& rep, uint64_t new_epoch) {
   rep.believed_primary = rep.id;
   rep.election_active = false;
   rep.election_replies.clear();
-  rep.sending_snapshot = false;
+  rep.snapshot->Close();
   // Apply the inherited tail (a backup's applied cursor trails its log end),
   // then append a no-op barrier in the new epoch. The barrier is what lets
   // commit advance over inherited entries: TryAdvanceCommit only counts
@@ -1287,11 +1290,10 @@ void ReplicationGroup::RequestCatchup(Replica& rep, uint32_t to) {
 }
 
 void ReplicationGroup::StartStateTransfer(Replica& primary, uint32_t target) {
-  if (primary.sending_snapshot) {
+  if (primary.snapshot->open()) {
     return;  // one transfer at a time; the tick retries other laggards
   }
-  primary.sending_snapshot = true;
-  primary.snapshot_target = target;
+  primary.snapshot->Open(target);
   stats_.state_transfers++;
   BuildSnapshot(primary.id, primary.current_epoch);
 }
@@ -1299,8 +1301,8 @@ void ReplicationGroup::StartStateTransfer(Replica& primary, uint32_t target) {
 void ReplicationGroup::BuildSnapshot(uint32_t primary_id, uint64_t transfer_epoch) {
   Replica& primary = *replicas_[primary_id];
   if (primary.crashed || !primary.is_primary ||
-      primary.current_epoch != transfer_epoch || !primary.sending_snapshot) {
-    primary.sending_snapshot = false;
+      primary.current_epoch != transfer_epoch || !primary.snapshot->open()) {
+    primary.snapshot->Close();
     ReleaseSnapshotDrain(primary);
     return;
   }
@@ -1320,35 +1322,22 @@ void ReplicationGroup::BuildSnapshot(uint32_t primary_id, uint64_t transfer_epoc
                     });
     return;
   }
-  ReplicaMessage chunk = MakeMessage(ReplicaMessageType::kStateChunk,
-                                     primary.current_epoch, primary.id);
-  chunk.snapshot_index = primary.log.end();
-  chunk.snapshot_epoch = primary.log.EpochAt(chunk.snapshot_index);
-  auto chunks = std::make_shared<std::vector<ReplicaMessage>>();
-  for (const auto& key : primary.keys) {
-    KvOperation get;
-    get.opcode = Opcode::kGet;
-    get.key = key;
-    KvResultMessage value = primary.server->Execute(get);
-    if (value.code != ResultCode::kOk) {
-      continue;
-    }
-    chunk.kvs.emplace_back(key, std::move(value.value));
-    if (chunk.kvs.size() >= config_.state_transfer_chunk_kvs) {
-      chunks->push_back(chunk);
-      chunk.kvs.clear();
-    }
-  }
-  if (!chunk.kvs.empty() || chunks->empty()) {
-    chunks->push_back(std::move(chunk));
-  }
-  for (size_t i = 0; i < chunks->size(); i++) {
-    (*chunks)[i].chunk_seq = static_cast<uint32_t>(i);
-    (*chunks)[i].chunk_flags = 0;
-  }
-  chunks->front().chunk_flags |= kStateChunkFirst;
-  chunks->back().chunk_flags |= kStateChunkLast;
-  SendNextChunk(primary_id, transfer_epoch, chunks, 0);
+  constexpr uint32_t kStateTransferChunkKvs = 64;
+  SnapshotStream::Header header;
+  header.epoch = primary.current_epoch;
+  header.sender = primary.id;
+  header.snapshot_index = primary.log.end();
+  header.snapshot_epoch = primary.log.EpochAt(header.snapshot_index);
+  header.delimited = true;
+  const uint32_t target = primary.snapshot->destination();
+  primary.snapshot->Start(
+      SnapshotStream::Pack(header, SnapshotStream::Cut(*primary.server, primary.keys),
+                           kStateTransferChunkKvs),
+      [this, primary_id, target](const SnapshotChunk& chunk) {
+        stats_.state_transfer_bytes += chunk.bytes.size();
+        stats_.state_transfer_kvs += chunk.kvs;
+        SendReplicaPayload(primary_id, target, chunk.bytes);
+      });
   // The chunks are fully materialized; writes parked during the drain can
   // resume without perturbing the cut.
   ReleaseSnapshotDrain(primary);
@@ -1368,39 +1357,6 @@ void ReplicationGroup::ReleaseSnapshotDrain(Replica& rep) {
     ExecuteWrites(rep, write.sequence, std::move(write.ops),
                   std::move(write.respond));
   }
-}
-
-void ReplicationGroup::SendNextChunk(
-    uint32_t primary_id, uint64_t transfer_epoch,
-    std::shared_ptr<std::vector<ReplicaMessage>> chunks, size_t next) {
-  Replica& primary = *replicas_[primary_id];
-  if (primary.crashed || !primary.is_primary ||
-      primary.current_epoch != transfer_epoch || !primary.sending_snapshot) {
-    primary.sending_snapshot = false;
-    return;
-  }
-  const ReplicaMessage& chunk = (*chunks)[next];
-  const size_t encoded_bytes = EncodeReplicaMessage(chunk).size();
-  stats_.state_transfer_bytes += encoded_bytes;
-  stats_.state_transfer_kvs += chunk.kvs.size();
-  SendReplicaMessage(primary_id, primary.snapshot_target, chunk);
-  if (next + 1 == chunks->size()) {
-    // Done; appends to the target resume once its catch-up request arrives.
-    primary.sending_snapshot = false;
-    return;
-  }
-  // Pace the stream: the next chunk leaves once this one's bytes have had
-  // their slot at the configured resync rate.
-  const SimTime pace = std::max<SimTime>(
-      1, static_cast<SimTime>(static_cast<double>(encoded_bytes) /
-                              config_.state_transfer_bytes_per_sec * kSecond));
-  std::shared_ptr<bool> alive = liveness_;
-  sim_.ScheduleAt(sim_.Now() + pace,
-                  [this, alive, primary_id, transfer_epoch, chunks, next] {
-                    if (*alive) {
-                      SendNextChunk(primary_id, transfer_epoch, chunks, next + 1);
-                    }
-                  });
 }
 
 void ReplicationGroup::WipeState(Replica& rep) {
@@ -1434,8 +1390,7 @@ void ReplicationGroup::Tick() {
     }
     if (rep.is_primary) {
       for (uint32_t peer = 0; peer < num_replicas(); peer++) {
-        if (peer == rep.id ||
-            (rep.sending_snapshot && rep.snapshot_target == peer)) {
+        if (peer == rep.id || rep.snapshot->SendingTo(peer)) {
           continue;
         }
         // Re-align to the confirmed position: this is what retransmits

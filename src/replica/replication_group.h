@@ -59,6 +59,7 @@
 #include "src/core/kv_direct.h"
 #include "src/replica/replica_log.h"
 #include "src/replica/replica_wire.h"
+#include "src/replica/snapshot_stream.h"
 #include "src/transport/frame_endpoint.h"
 
 namespace kvd {
@@ -111,8 +112,6 @@ struct ReplicationConfig {
   // Older entries are trimmed beyond this; a peer needing them falls back to
   // state transfer.
   uint64_t max_log_entries = 1u << 16;
-  uint32_t state_transfer_chunk_kvs = 64;
-  double state_transfer_bytes_per_sec = 5e9;  // resync rate bound
 
   // Client replay cache per replica (same semantics as ServerConfig's).
   uint32_t replay_cache_entries = 4096;
@@ -222,9 +221,13 @@ class ReplicationGroup {
   // destination group after cutover.
   void InstallSessionRecord(uint64_t sequence, uint16_t slot,
                             const KvResultMessage& result);
-  // The primary's live KVs owned by `partition` (deterministic key order).
-  std::vector<std::pair<std::vector<uint8_t>, std::vector<uint8_t>>>
-  SnapshotPartitionKvs(const KeyRouter& router, uint32_t partition);
+  // The primary's live KVs owned by `partition`, in key order: the snapshot
+  // stream's cut of one partition.
+  std::vector<SnapshotKv> SnapshotPartitionKvs(const KeyRouter& router,
+                                               uint32_t partition);
+  // The primary's keys owned by `partition`, in key order.
+  std::vector<std::vector<uint8_t>> PartitionKeys(const KeyRouter& router,
+                                                  uint32_t partition) const;
   // Session records of writes to `partition`, scanned from the primary's
   // log. Records of trimmed entries are not recoverable here; migrations
   // keep their window well inside max_log_entries.
@@ -380,9 +383,10 @@ class ReplicationGroup {
     // but not yet in the log, so the target would replay them twice.
     uint64_t inflight_ops = 0;
 
-    // Outbound state transfer (primary side), one target at a time.
-    bool sending_snapshot = false;
-    uint32_t snapshot_target = 0;
+    // Outbound state transfer (primary side), one target at a time: open
+    // from the transfer's start, through the drain, until its last chunk
+    // leaves.
+    std::unique_ptr<SnapshotStream> snapshot;
     // Drain-then-cut: while a snapshot cut waits for the pipeline to
     // quiesce, new client writes are parked here instead of being admitted
     // (otherwise sustained load could postpone the cut forever). They are
@@ -447,6 +451,11 @@ class ReplicationGroup {
   // wire flight (append windows carrying traced writes).
   void SendReplicaMessage(uint32_t from, uint32_t to, const ReplicaMessage& msg,
                           const std::vector<uint64_t>* traces = nullptr);
+  // Frames an encoded message at send time: frames share one sequence
+  // space, next_repl_sequence_.
+  void SendReplicaPayload(uint32_t from, uint32_t to,
+                          std::span<const uint8_t> payload,
+                          const std::vector<uint64_t>* traces = nullptr);
   void OnReplicaFrame(uint32_t to, std::vector<uint8_t> packet);
   void OnAppend(Replica& rep, const ReplicaMessage& msg);
   void OnAppendAck(Replica& rep, const ReplicaMessage& msg);
@@ -482,15 +491,12 @@ class ReplicationGroup {
   void RequestCatchup(Replica& rep, uint32_t to);
   void StartStateTransfer(Replica& primary, uint32_t target);
   // Waits for the primary's pipeline to quiesce — parking newly arriving
-  // writes meanwhile (drain-then-cut) — then materializes the snapshot
-  // chunks and starts streaming them.
+  // writes meanwhile (drain-then-cut) — then cuts the snapshot and starts
+  // streaming it.
   void BuildSnapshot(uint32_t primary_id, uint64_t transfer_epoch);
   // Ends a drain: executes the parked writes (or drops them if the replica
   // is no longer an alive primary; the clients retry).
   void ReleaseSnapshotDrain(Replica& rep);
-  void SendNextChunk(uint32_t primary_id, uint64_t transfer_epoch,
-                     std::shared_ptr<std::vector<ReplicaMessage>> chunks,
-                     size_t next);
   // Deletes every tracked KV and resets log/sessions to empty: the clean
   // slate a state-transfer target starts from (also the abort path).
   void WipeState(Replica& rep);

@@ -24,6 +24,7 @@
 #include "src/replica/replica_wire.h"
 #include "src/replica/replicated_client.h"
 #include "src/replica/replication_group.h"
+#include "src/replica/snapshot_stream.h"
 
 namespace kvd {
 namespace {
@@ -225,6 +226,181 @@ TEST(KeyRouterTest, ShardedClientsAgreeOnOwnership) {
 }
 
 // --- replication basics ---
+
+// --- the snapshot stream ---
+
+std::vector<SnapshotKv> NumberedKvs(uint64_t count) {
+  std::vector<SnapshotKv> kvs;
+  for (uint64_t i = 0; i < count; i++) {
+    kvs.emplace_back(Key(i), U64Value(100 + i));
+  }
+  return kvs;
+}
+
+ReplicaMessage DecodeChunk(const SnapshotChunk& chunk) {
+  Result<ReplicaMessage> decoded = DecodeReplicaMessage(chunk.bytes);
+  EXPECT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().type, ReplicaMessageType::kStateChunk);
+  return decoded.value();
+}
+
+TEST(SnapshotStreamTest, PackSplitsAtChunkBoundaries) {
+  constexpr uint32_t kChunkKvs = 4;
+  SnapshotStream::Header header;
+  header.epoch = 3;
+  header.sender = 1;
+  header.snapshot_epoch = 2;
+  header.snapshot_index = 17;
+
+  // 0 KVs: an undelimited stream is empty, a delimited one still needs its
+  // first-and-last chunk.
+  EXPECT_TRUE(SnapshotStream::Pack(header, {}, kChunkKvs).empty());
+  header.delimited = true;
+  std::vector<SnapshotChunk> chunks = SnapshotStream::Pack(header, {}, kChunkKvs);
+  ASSERT_EQ(chunks.size(), 1u);
+  ReplicaMessage only = DecodeChunk(chunks[0]);
+  EXPECT_EQ(only.chunk_flags, kStateChunkFirst | kStateChunkLast);
+  EXPECT_TRUE(only.kvs.empty());
+  EXPECT_EQ(only.epoch, 3u);
+  EXPECT_EQ(only.sender, 1u);
+  EXPECT_EQ(only.snapshot_epoch, 2u);
+  EXPECT_EQ(only.snapshot_index, 17u);
+
+  // N KVs fill exactly one chunk.
+  chunks = SnapshotStream::Pack(header, NumberedKvs(kChunkKvs), kChunkKvs);
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(chunks[0].kvs, kChunkKvs);
+  EXPECT_EQ(DecodeChunk(chunks[0]).kvs.size(), kChunkKvs);
+
+  // N+1 KVs spill one KV into a second chunk; order and flags follow.
+  chunks = SnapshotStream::Pack(header, NumberedKvs(kChunkKvs + 1), kChunkKvs);
+  ASSERT_EQ(chunks.size(), 2u);
+  const ReplicaMessage first = DecodeChunk(chunks[0]);
+  const ReplicaMessage last = DecodeChunk(chunks[1]);
+  EXPECT_EQ(first.chunk_seq, 0u);
+  EXPECT_EQ(last.chunk_seq, 1u);
+  EXPECT_EQ(first.chunk_flags, kStateChunkFirst);
+  EXPECT_EQ(last.chunk_flags, kStateChunkLast);
+  EXPECT_EQ(chunks[1].kvs, 1u);
+  ASSERT_EQ(last.kvs.size(), 1u);
+  EXPECT_EQ(first.kvs[0].first, Key(0));
+  EXPECT_EQ(last.kvs[0].first, Key(kChunkKvs));
+  EXPECT_EQ(last.kvs[0].second, U64Value(100 + kChunkKvs));
+
+  // Undelimited chunks carry no flags.
+  header.delimited = false;
+  chunks = SnapshotStream::Pack(header, NumberedKvs(kChunkKvs + 1), kChunkKvs);
+  ASSERT_EQ(chunks.size(), 2u);
+  EXPECT_EQ(DecodeChunk(chunks[0]).chunk_flags, 0u);
+  EXPECT_EQ(DecodeChunk(chunks[1]).chunk_flags, 0u);
+}
+
+std::vector<SnapshotChunk> ChunksOfSizes(std::vector<size_t> sizes) {
+  std::vector<SnapshotChunk> chunks;
+  for (size_t i = 0; i < sizes.size(); i++) {
+    chunks.push_back({std::vector<uint8_t>(sizes[i], static_cast<uint8_t>(i)),
+                      0});
+  }
+  return chunks;
+}
+
+TEST(SnapshotStreamTest, PacesEachChunkByItsBytes) {
+  Simulator sim;
+  constexpr double kRate = 1e9;  // 1 byte per ns
+  SnapshotStream stream(sim, kRate, /*await_acks=*/false);
+  const std::vector<size_t> sizes{1000, 10, 0, 5000};
+  std::vector<SimTime> sent_at;
+  std::vector<size_t> sent_bytes;
+  stream.Open(2);
+  EXPECT_TRUE(stream.SendingTo(2));
+  EXPECT_FALSE(stream.SendingTo(1));
+  stream.Start(ChunksOfSizes(sizes), [&](const SnapshotChunk& chunk) {
+    sent_at.push_back(sim.Now());
+    sent_bytes.push_back(chunk.bytes.size());
+  });
+  sim.RunUntilIdle();
+
+  ASSERT_EQ(sent_bytes, sizes);
+  // Each gap is max(1, bytes / rate) for the bytes of the chunk before it:
+  // 1000 B -> 1 us, 10 B -> 10 ns, and an empty chunk still takes 1 ps.
+  EXPECT_EQ(sent_at[0], 0u);
+  EXPECT_EQ(sent_at[1] - sent_at[0], 1 * kMicrosecond);
+  EXPECT_EQ(sent_at[2] - sent_at[1], 10 * kNanosecond);
+  EXPECT_EQ(sent_at[3] - sent_at[2], 1u);
+  for (size_t i = 1; i < sizes.size(); i++) {
+    EXPECT_EQ(sent_at[i] - sent_at[i - 1], stream.PaceFor(sizes[i - 1]));
+  }
+  // Without an ack path the stream closes as its last chunk leaves: no
+  // trailing pace event.
+  EXPECT_FALSE(stream.open());
+  EXPECT_EQ(sim.Now(), sent_at.back());
+
+  // Awaiting acks, the last chunk keeps its pace slot and the stream stays
+  // open for a rewind.
+  SnapshotStream acked(sim, kRate, /*await_acks=*/true);
+  acked.Open(0);
+  acked.Start(ChunksOfSizes({2000}), [](const SnapshotChunk&) {});
+  const SimTime last_sent = sim.Now();
+  sim.RunUntilIdle();
+  EXPECT_TRUE(acked.open());
+  EXPECT_EQ(sim.Now() - last_sent, 2 * kMicrosecond);
+}
+
+TEST(SnapshotStreamTest, RewindWhilePacingKeepsOneSendChain) {
+  Simulator sim;
+  SnapshotStream stream(sim, 1e9, /*await_acks=*/true);
+  std::vector<std::pair<SimTime, uint8_t>> sends;  // (time, chunk id)
+  stream.Open(1);
+  stream.Start(ChunksOfSizes({1000, 1000, 1000}),
+               [&](const SnapshotChunk& chunk) {
+                 sends.emplace_back(sim.Now(), chunk.bytes[0]);
+               });
+  ASSERT_EQ(sends.size(), 1u);
+  // Chunk 0's pace event is pending: the rewind takes effect in that slot
+  // instead of sending now.
+  stream.Rewind(0);
+  EXPECT_EQ(sends.size(), 1u);
+  sim.RunUntilIdle();
+  const std::vector<std::pair<SimTime, uint8_t>> want{
+      {0, 0},
+      {1 * kMicrosecond, 0},
+      {2 * kMicrosecond, 1},
+      {3 * kMicrosecond, 2}};
+  EXPECT_EQ(sends, want);
+
+  // With no pace event pending, a rewind sends at once.
+  stream.Rewind(2);
+  ASSERT_EQ(sends.size(), 5u);
+  EXPECT_EQ(sends.back(), std::make_pair(sim.Now(), uint8_t{2}));
+}
+
+TEST(SnapshotStreamTest, PendingEventOfFinishedOrReplacedStreamSendsNothing) {
+  Simulator sim;
+  SnapshotStream stream(sim, 1e9, /*await_acks=*/true);
+  size_t closed_sends = 0;
+  stream.Open(1);
+  stream.Start(ChunksOfSizes({1000, 1000}),
+               [&](const SnapshotChunk&) { closed_sends++; });
+  stream.Close();
+  sim.RunUntilIdle();
+  EXPECT_EQ(closed_sends, 1u);  // chunk 1's slot came, but the stream was gone
+
+  // A transfer replaced while its pace event is pending: the old event must
+  // neither send the old chunks nor start a second chain for the new ones.
+  size_t old_sends = 0;
+  std::vector<SimTime> new_sends;
+  stream.Open(1);
+  stream.Start(ChunksOfSizes({1000, 1000}),
+               [&](const SnapshotChunk&) { old_sends++; });
+  const SimTime replaced_at = sim.Now();
+  stream.Open(2);
+  stream.Start(ChunksOfSizes({4000, 4000}),
+               [&](const SnapshotChunk&) { new_sends.push_back(sim.Now()); });
+  sim.RunUntilIdle();
+  EXPECT_EQ(old_sends, 1u);
+  const std::vector<SimTime> want{replaced_at, replaced_at + 4 * kMicrosecond};
+  EXPECT_EQ(new_sends, want);
+}
 
 TEST(ReplicationGroupTest, WritesReachEveryBackupAndCommitNeedsQuorum) {
   ReplicationGroup group(SmallGroupConfig());
