@@ -251,9 +251,11 @@ void ClusterCoordinator::StartCopy() {
   SnapshotStream::Header header;
   header.epoch = map_.epoch;
   header.sender = m.from;
+  // Session records were installed above, so the chunks carry none and
+  // keep their pre-session-flag bytes.
   std::vector<SnapshotChunk> chunks =
       SnapshotStream::Pack(header, source.SnapshotPartitionKvs(router, m.partition),
-                           config_.copy_chunk_kvs);
+                           {}, config_.copy_chunk_kvs);
   for (SnapshotChunk& chunk : chunks) {
     chunk.bytes = FramePacket(++next_copy_sequence_, chunk.bytes);
   }

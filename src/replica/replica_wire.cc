@@ -52,6 +52,24 @@ struct Reader {
   bool Done() const { return offset == in.size(); }
 };
 
+void EncodeResult(std::vector<uint8_t>& out, const KvResultMessage& result) {
+  out.push_back(static_cast<uint8_t>(result.code));
+  PutU64(out, result.scalar);
+  PutU32(out, static_cast<uint32_t>(result.value.size()));
+  PutBytes(out, result.value);
+}
+
+bool DecodeResult(Reader& reader, KvResultMessage& result) {
+  uint8_t code_byte;
+  uint32_t len;
+  if (!reader.Take(&code_byte, 1) || !reader.Take(&result.scalar, 8) ||
+      !reader.Take(&len, 4) || code_byte > kMaxResultCodeByte) {
+    return false;
+  }
+  result.code = static_cast<ResultCode>(code_byte);
+  return reader.TakeBytes(result.value, len);
+}
+
 void EncodeEntry(std::vector<uint8_t>& out, const LogEntry& entry) {
   PutU64(out, entry.epoch);
   PutU64(out, entry.client_sequence);
@@ -65,16 +83,13 @@ void EncodeEntry(std::vector<uint8_t>& out, const LogEntry& entry) {
   PutU32(out, static_cast<uint32_t>(entry.op.value.size()));
   PutBytes(out, entry.op.key);
   PutBytes(out, entry.op.value);
-  out.push_back(static_cast<uint8_t>(entry.result.code));
-  PutU64(out, entry.result.scalar);
-  PutU32(out, static_cast<uint32_t>(entry.result.value.size()));
-  PutBytes(out, entry.result.value);
+  EncodeResult(out, entry.result);
 }
 
 bool DecodeEntry(Reader& reader, LogEntry& entry) {
-  uint8_t opcode_byte, return_value, code_byte;
+  uint8_t opcode_byte, return_value;
   uint16_t key_len;
-  uint32_t value_len, result_len;
+  uint32_t value_len;
   if (!reader.Take(&entry.epoch, 8) || !reader.Take(&entry.client_sequence, 8) ||
       !reader.Take(&entry.slot, 2) || !reader.Take(&opcode_byte, 1) ||
       !reader.Take(&entry.op.element_width, 1) || !reader.Take(&return_value, 1) ||
@@ -87,17 +102,9 @@ bool DecodeEntry(Reader& reader, LogEntry& entry) {
   }
   entry.op.opcode = static_cast<Opcode>(opcode_byte);
   entry.op.return_value = return_value != 0;
-  if (!reader.TakeBytes(entry.op.key, key_len) ||
-      !reader.TakeBytes(entry.op.value, value_len) ||
-      !reader.Take(&code_byte, 1) || !reader.Take(&entry.result.scalar, 8) ||
-      !reader.Take(&result_len, 4)) {
-    return false;
-  }
-  if (code_byte > kMaxResultCodeByte) {
-    return false;
-  }
-  entry.result.code = static_cast<ResultCode>(code_byte);
-  return reader.TakeBytes(entry.result.value, result_len);
+  return reader.TakeBytes(entry.op.key, key_len) &&
+         reader.TakeBytes(entry.op.value, value_len) &&
+         DecodeResult(reader, entry.result);
 }
 
 }  // namespace
@@ -148,6 +155,14 @@ std::vector<uint8_t> EncodeReplicaMessage(const ReplicaMessage& msg) {
         PutU32(out, static_cast<uint32_t>(value.size()));
         PutBytes(out, key);
         PutBytes(out, value);
+      }
+      if ((msg.chunk_flags & kStateChunkSessions) != 0) {
+        PutU32(out, static_cast<uint32_t>(msg.sessions.size()));
+        for (const SessionRecord& record : msg.sessions) {
+          PutU64(out, record.sequence);
+          PutU16(out, record.slot);
+          EncodeResult(out, record.result);
+        }
       }
       break;
   }
@@ -224,6 +239,9 @@ Result<ReplicaMessage> DecodeReplicaMessage(const std::vector<uint8_t>& payload)
           !reader.Take(&count, 4)) {
         return Status::InvalidArgument("truncated state chunk header");
       }
+      if ((msg.chunk_flags & ~kStateChunkKnownFlags) != 0) {
+        return Status::InvalidArgument("unknown state chunk flags");
+      }
       msg.kvs.reserve(count);
       for (uint32_t i = 0; i < count; i++) {
         uint16_t key_len;
@@ -234,6 +252,19 @@ Result<ReplicaMessage> DecodeReplicaMessage(const std::vector<uint8_t>& payload)
           return Status::InvalidArgument("truncated state chunk kv");
         }
         msg.kvs.emplace_back(std::move(key), std::move(value));
+      }
+      if ((msg.chunk_flags & kStateChunkSessions) != 0) {
+        if (!reader.Take(&count, 4)) {
+          return Status::InvalidArgument("truncated state chunk sessions");
+        }
+        for (uint32_t i = 0; i < count; i++) {
+          SessionRecord record;
+          if (!reader.Take(&record.sequence, 8) || !reader.Take(&record.slot, 2) ||
+              !DecodeResult(reader, record.result)) {
+            return Status::InvalidArgument("truncated state chunk session");
+          }
+          msg.sessions.push_back(std::move(record));
+        }
       }
       break;
     }

@@ -54,6 +54,20 @@ inline constexpr uint8_t kMaxReplicaMessageType =
 
 inline constexpr uint8_t kStateChunkFirst = 1u << 0;  // wipe target state first
 inline constexpr uint8_t kStateChunkLast = 1u << 1;   // snapshot complete
+// Session records follow the KVs. Chunks without any (every migration copy
+// chunk) encode exactly as before the flag existed.
+inline constexpr uint8_t kStateChunkSessions = 1u << 2;
+inline constexpr uint8_t kStateChunkKnownFlags =
+    kStateChunkFirst | kStateChunkLast | kStateChunkSessions;
+
+// A replicated session result: the response one op slot of a client request
+// got. Snapshots carry them so a resynced replica still answers a
+// retransmission exactly once.
+struct SessionRecord {
+  uint64_t sequence = 0;
+  uint16_t slot = 0;
+  KvResultMessage result;
+};
 
 struct ReplicaMessage {
   ReplicaMessageType type = ReplicaMessageType::kAppend;
@@ -91,6 +105,7 @@ struct ReplicaMessage {
   uint32_t chunk_seq = 0;
   uint8_t chunk_flags = 0;
   std::vector<std::pair<std::vector<uint8_t>, std::vector<uint8_t>>> kvs;
+  std::vector<SessionRecord> sessions;  // with kStateChunkSessions
 };
 
 std::vector<uint8_t> EncodeReplicaMessage(const ReplicaMessage& msg);

@@ -192,10 +192,9 @@ std::vector<std::vector<uint8_t>> ReplicationGroup::PartitionKeys(
   return keys;
 }
 
-std::vector<ReplicationGroup::SessionExport>
-ReplicationGroup::ExportPartitionSessions(const KeyRouter& router,
-                                          uint32_t partition) const {
-  std::vector<SessionExport> exported;
+std::vector<SessionRecord> ReplicationGroup::ExportPartitionSessions(
+    const KeyRouter& router, uint32_t partition) const {
+  std::vector<SessionRecord> exported;
   const Replica& primary = *replicas_[primary_view_];
   for (uint64_t index = primary.log.base() + 1; index <= primary.log.end();
        index++) {
@@ -887,6 +886,8 @@ void ReplicationGroup::OnStateChunk(Replica& rep, const ReplicaMessage& msg) {
     return;
   }
   rep.expected_chunk++;
+  rep.incoming_sessions.insert(rep.incoming_sessions.end(), msg.sessions.begin(),
+                               msg.sessions.end());
   for (const auto& [key, value] : msg.kvs) {
     KvOperation put;
     put.opcode = Opcode::kPut;
@@ -897,6 +898,10 @@ void ReplicationGroup::OnStateChunk(Replica& rep, const ReplicaMessage& msg) {
     }
   }
   if ((msg.chunk_flags & kStateChunkLast) != 0) {
+    for (const SessionRecord& record : rep.incoming_sessions) {
+      RecordSession(rep, record.sequence, record.slot, record.result);
+    }
+    rep.incoming_sessions.clear();
     rep.log.ResetToSnapshot(msg.snapshot_index, msg.snapshot_epoch);
     rep.commit = msg.snapshot_index;
     rep.applied = msg.snapshot_index;  // the snapshot IS the applied state
@@ -1329,10 +1334,19 @@ void ReplicationGroup::BuildSnapshot(uint32_t primary_id, uint64_t transfer_epoc
   header.snapshot_index = primary.log.end();
   header.snapshot_epoch = primary.log.EpochAt(header.snapshot_index);
   header.delimited = true;
+  // The session table is part of the cut, in its eviction order: a target
+  // that later leads must answer retransmissions of writes it only ever saw
+  // inside the snapshot.
+  std::vector<SessionRecord> sessions;
+  for (const uint64_t sequence : primary.session_order) {
+    for (const auto& [slot, result] : primary.sessions.at(sequence)) {
+      sessions.push_back({sequence, slot, result});
+    }
+  }
   const uint32_t target = primary.snapshot->destination();
   primary.snapshot->Start(
       SnapshotStream::Pack(header, SnapshotStream::Cut(*primary.server, primary.keys),
-                           kStateTransferChunkKvs),
+                           std::move(sessions), kStateTransferChunkKvs),
       [this, primary_id, target](const SnapshotChunk& chunk) {
         stats_.state_transfer_bytes += chunk.bytes.size();
         stats_.state_transfer_kvs += chunk.kvs;
@@ -1369,6 +1383,7 @@ void ReplicationGroup::WipeState(Replica& rep) {
   rep.keys.clear();
   rep.sessions.clear();
   rep.session_order.clear();
+  rep.incoming_sessions.clear();
   rep.log.ResetToSnapshot(0, 0);
   rep.commit = 0;
   rep.applied = 0;

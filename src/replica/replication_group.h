@@ -231,12 +231,7 @@ class ReplicationGroup {
   // Session records of writes to `partition`, scanned from the primary's
   // log. Records of trimmed entries are not recoverable here; migrations
   // keep their window well inside max_log_entries.
-  struct SessionExport {
-    uint64_t sequence = 0;
-    uint16_t slot = 0;
-    KvResultMessage result;
-  };
-  std::vector<SessionExport> ExportPartitionSessions(const KeyRouter& router,
+  std::vector<SessionRecord> ExportPartitionSessions(const KeyRouter& router,
                                                      uint32_t partition) const;
 
   // --- fault control ---
@@ -399,9 +394,11 @@ class ReplicationGroup {
     };
     bool draining_for_snapshot = false;
     std::deque<DeferredWrite> deferred_writes;
-    // Inbound state transfer (target side).
+    // Inbound state transfer (target side). Session records arrive with the
+    // chunks and are installed with the last one.
     bool receiving_snapshot = false;
     uint32_t expected_chunk = 0;
+    std::vector<SessionRecord> incoming_sessions;
 
     // Shadow key set: the hash index has no enumeration, so the group tracks
     // live keys per replica for snapshotting (std::set for deterministic

@@ -6,6 +6,18 @@
 #include "src/common/assert.h"
 
 namespace kvd {
+namespace {
+
+// Moves up to `n` items of `from`, starting at `first`, into `to`.
+template <typename T>
+void MoveSlice(std::vector<T>& from, size_t first, size_t n, std::vector<T>& to) {
+  first = std::min(first, from.size());
+  const size_t last = std::min(from.size(), first + n);
+  to.assign(std::make_move_iterator(from.begin() + static_cast<long>(first)),
+            std::make_move_iterator(from.begin() + static_cast<long>(last)));
+}
+
+}  // namespace
 
 std::vector<SnapshotKv> SnapshotStream::Cut(
     KvDirectServer& server, const std::set<std::vector<uint8_t>>& keys,
@@ -26,13 +38,14 @@ std::vector<SnapshotKv> SnapshotStream::Cut(
   return kvs;
 }
 
-std::vector<SnapshotChunk> SnapshotStream::Pack(const Header& header,
-                                                std::vector<SnapshotKv> kvs,
-                                                uint32_t chunk_kvs) {
+std::vector<SnapshotChunk> SnapshotStream::Pack(
+    const Header& header, std::vector<SnapshotKv> kvs,
+    std::vector<SessionRecord> sessions, uint32_t chunk_kvs) {
   KVD_CHECK(chunk_kvs >= 1);
   // A delimited snapshot needs a chunk to carry its last-chunk flag.
-  const size_t count = std::max<size_t>((kvs.size() + chunk_kvs - 1) / chunk_kvs,
-                                        header.delimited ? 1 : 0);
+  const size_t count =
+      (std::max<size_t>({kvs.size(), sessions.size(), header.delimited ? 1u : 0u}) +
+       chunk_kvs - 1) / chunk_kvs;
   ReplicaMessage msg;
   msg.type = ReplicaMessageType::kStateChunk;
   msg.epoch = header.epoch;
@@ -41,14 +54,14 @@ std::vector<SnapshotChunk> SnapshotStream::Pack(const Header& header,
   msg.snapshot_index = header.snapshot_index;
   std::vector<SnapshotChunk> chunks;
   for (size_t i = 0; i < count; i++) {
-    const auto first = kvs.begin() + static_cast<long>(i * chunk_kvs);
-    const auto last =
-        kvs.begin() + static_cast<long>(std::min(kvs.size(), (i + 1) * chunk_kvs));
-    msg.kvs.assign(std::make_move_iterator(first), std::make_move_iterator(last));
+    MoveSlice(kvs, i * chunk_kvs, chunk_kvs, msg.kvs);
+    MoveSlice(sessions, i * chunk_kvs, chunk_kvs, msg.sessions);
     msg.chunk_seq = static_cast<uint32_t>(i);
-    msg.chunk_flags = !header.delimited ? 0
-                      : (i == 0 ? kStateChunkFirst : 0) |
-                            (i + 1 == count ? kStateChunkLast : 0);
+    msg.chunk_flags = msg.sessions.empty() ? 0 : kStateChunkSessions;
+    if (header.delimited) {
+      msg.chunk_flags |= (i == 0 ? kStateChunkFirst : 0) |
+                         (i + 1 == count ? kStateChunkLast : 0);
+    }
     chunks.push_back({EncodeReplicaMessage(msg),
                       static_cast<uint32_t>(msg.kvs.size())});
   }

@@ -40,10 +40,11 @@ class SnapshotStream {
     // migration copy is bounded by its chunk count instead.
     bool delimited = false;
   };
-  // The only builder of kStateChunk messages: `kvs` in order, at most
-  // `chunk_kvs` per chunk, each message encoded once.
+  // The only builder of kStateChunk messages: `kvs` and `sessions` in
+  // order, at most `chunk_kvs` of each per chunk, each message encoded once.
   static std::vector<SnapshotChunk> Pack(const Header& header,
                                          std::vector<SnapshotKv> kvs,
+                                         std::vector<SessionRecord> sessions,
                                          uint32_t chunk_kvs);
 
   // Awaiting acks, the stream keeps its last chunk's pace slot and stays

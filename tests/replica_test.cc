@@ -254,9 +254,9 @@ TEST(SnapshotStreamTest, PackSplitsAtChunkBoundaries) {
 
   // 0 KVs: an undelimited stream is empty, a delimited one still needs its
   // first-and-last chunk.
-  EXPECT_TRUE(SnapshotStream::Pack(header, {}, kChunkKvs).empty());
+  EXPECT_TRUE(SnapshotStream::Pack(header, {}, {}, kChunkKvs).empty());
   header.delimited = true;
-  std::vector<SnapshotChunk> chunks = SnapshotStream::Pack(header, {}, kChunkKvs);
+  std::vector<SnapshotChunk> chunks = SnapshotStream::Pack(header, {}, {}, kChunkKvs);
   ASSERT_EQ(chunks.size(), 1u);
   ReplicaMessage only = DecodeChunk(chunks[0]);
   EXPECT_EQ(only.chunk_flags, kStateChunkFirst | kStateChunkLast);
@@ -267,13 +267,13 @@ TEST(SnapshotStreamTest, PackSplitsAtChunkBoundaries) {
   EXPECT_EQ(only.snapshot_index, 17u);
 
   // N KVs fill exactly one chunk.
-  chunks = SnapshotStream::Pack(header, NumberedKvs(kChunkKvs), kChunkKvs);
+  chunks = SnapshotStream::Pack(header, NumberedKvs(kChunkKvs), {}, kChunkKvs);
   ASSERT_EQ(chunks.size(), 1u);
   EXPECT_EQ(chunks[0].kvs, kChunkKvs);
   EXPECT_EQ(DecodeChunk(chunks[0]).kvs.size(), kChunkKvs);
 
   // N+1 KVs spill one KV into a second chunk; order and flags follow.
-  chunks = SnapshotStream::Pack(header, NumberedKvs(kChunkKvs + 1), kChunkKvs);
+  chunks = SnapshotStream::Pack(header, NumberedKvs(kChunkKvs + 1), {}, kChunkKvs);
   ASSERT_EQ(chunks.size(), 2u);
   const ReplicaMessage first = DecodeChunk(chunks[0]);
   const ReplicaMessage last = DecodeChunk(chunks[1]);
@@ -289,10 +289,77 @@ TEST(SnapshotStreamTest, PackSplitsAtChunkBoundaries) {
 
   // Undelimited chunks carry no flags.
   header.delimited = false;
-  chunks = SnapshotStream::Pack(header, NumberedKvs(kChunkKvs + 1), kChunkKvs);
+  chunks = SnapshotStream::Pack(header, NumberedKvs(kChunkKvs + 1), {}, kChunkKvs);
   ASSERT_EQ(chunks.size(), 2u);
   EXPECT_EQ(DecodeChunk(chunks[0]).chunk_flags, 0u);
   EXPECT_EQ(DecodeChunk(chunks[1]).chunk_flags, 0u);
+}
+
+TEST(SnapshotStreamTest, PackSpreadsSessionRecordsOverTheChunks) {
+  constexpr uint32_t kChunkKvs = 2;
+  SnapshotStream::Header header;
+  header.delimited = true;
+  std::vector<SessionRecord> sessions;
+  for (uint16_t slot = 0; slot < 5; slot++) {
+    KvResultMessage result;
+    result.code = ResultCode::kOk;
+    result.scalar = 40 + slot;
+    sessions.push_back({7, slot, result});
+  }
+  // 1 KV and 5 records: the records set the chunk count, 2 per chunk.
+  const std::vector<SnapshotChunk> chunks =
+      SnapshotStream::Pack(header, NumberedKvs(1), sessions, kChunkKvs);
+  ASSERT_EQ(chunks.size(), 3u);
+  std::vector<SessionRecord> carried;
+  for (size_t i = 0; i < chunks.size(); i++) {
+    const ReplicaMessage msg = DecodeChunk(chunks[i]);
+    EXPECT_NE(msg.chunk_flags & kStateChunkSessions, 0u) << "chunk " << i;
+    EXPECT_EQ(msg.kvs.size(), i == 0 ? 1u : 0u);
+    carried.insert(carried.end(), msg.sessions.begin(), msg.sessions.end());
+  }
+  EXPECT_EQ(DecodeChunk(chunks.back()).chunk_flags & kStateChunkLast,
+            kStateChunkLast);
+  ASSERT_EQ(carried.size(), sessions.size());
+  for (size_t i = 0; i < carried.size(); i++) {
+    EXPECT_EQ(carried[i].sequence, 7u);
+    EXPECT_EQ(carried[i].slot, sessions[i].slot);
+    EXPECT_EQ(carried[i].result.scalar, sessions[i].result.scalar);
+  }
+
+  // Without records, the flag stays clear and the bytes are those of a
+  // session-free chunk.
+  header.delimited = false;
+  const std::vector<SnapshotChunk> plain =
+      SnapshotStream::Pack(header, NumberedKvs(1), {}, kChunkKvs);
+  ASSERT_EQ(plain.size(), 1u);
+  const ReplicaMessage msg = DecodeChunk(plain[0]);
+  EXPECT_EQ(msg.chunk_flags, 0u);
+  EXPECT_EQ(EncodeReplicaMessage(msg), plain[0].bytes);
+}
+
+TEST(ReplicaWireTest, StateChunkRejectsUnknownFlagsAndTruncatedSessions) {
+  ReplicaMessage msg;
+  msg.type = ReplicaMessageType::kStateChunk;
+  msg.chunk_flags = kStateChunkFirst | kStateChunkSessions;
+  msg.kvs.emplace_back(Key(1), U64Value(2));
+  KvResultMessage result;
+  result.code = ResultCode::kOk;
+  result.value = U64Value(9);
+  msg.sessions.push_back({11, 3, result});
+  std::vector<uint8_t> bytes = EncodeReplicaMessage(msg);
+  Result<ReplicaMessage> decoded = DecodeReplicaMessage(bytes);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded.value().sessions.size(), 1u);
+  EXPECT_EQ(decoded.value().sessions[0].sequence, 11u);
+  EXPECT_EQ(decoded.value().sessions[0].slot, 3u);
+  EXPECT_EQ(decoded.value().sessions[0].result.value, U64Value(9));
+
+  std::vector<uint8_t> truncated(bytes.begin(), bytes.end() - 1);
+  EXPECT_FALSE(DecodeReplicaMessage(truncated).ok());
+  // The flags byte follows type(1) epoch(8) sender(4) snapshot epoch and
+  // index (16) and chunk_seq (4).
+  bytes[1 + 8 + 4 + 16 + 4] |= 1u << 7;
+  EXPECT_FALSE(DecodeReplicaMessage(bytes).ok());
 }
 
 std::vector<SnapshotChunk> ChunksOfSizes(std::vector<size_t> sizes) {
@@ -912,6 +979,61 @@ TEST(ReplicationGroupTest, StateTransferCompletesUnderSustainedWriteLoad) {
   for (uint64_t n : {0ull, 199ull, 399ull}) {
     EXPECT_EQ(ReadU64(group, 2, 100 + n), 7100 + n) << "key " << 100 + n;
   }
+}
+
+TEST(ReplicationGroupTest, StateTransferTargetDedupsPreSnapshotRetransmit) {
+  // A replica that rejoined by state transfer must still answer a
+  // retransmission of a write it never saw as a log entry: the snapshot has
+  // to carry the primary's session table, or the replica re-executes the
+  // write once it leads and overwrites a later acknowledged one.
+  ReplicationConfig config = SmallGroupConfig();
+  config.max_log_entries = 8;
+  ReplicationGroup group(config);
+  Simulator& sim = group.simulator();
+  ReplicatedClient client(group);
+
+  group.CrashReplica(1);
+  PacketBuilder builder;
+  ASSERT_TRUE(builder.Add(Put(500, 1)));
+  GroupRequest request;
+  request.ops_payload = builder.Finish();
+  const uint64_t sequence = group.AcquireClientSequenceBase() + 1;
+  const std::vector<uint8_t> frame =
+      FramePacket(sequence, EncodeGroupRequest(request));
+  bool committed = false;
+  group.DeliverClientFrame(0, frame,
+                           [&](std::vector<uint8_t>) { committed = true; });
+  while (!committed) {
+    ASSERT_TRUE(sim.Step());
+  }
+
+  // Push the log past the write so the restart can only resync by snapshot.
+  for (uint64_t i = 0; i < 40; i++) {
+    client.Enqueue(Put(i, i));
+  }
+  client.Flush();
+  group.RestartReplica(1);
+  RunFor(sim, 30 * kMillisecond);
+  ASSERT_GE(group.stats().state_transfers, 1u);
+  ASSERT_EQ(group.log_end(1), group.log_end(0));
+
+  client.Enqueue(Put(500, 2));
+  ASSERT_EQ(client.Flush()[0].code, ResultCode::kOk);
+
+  // Replicas 1 and 2 hold the same log; the tie goes to the lower id.
+  group.CrashReplica(0);
+  RunFor(sim, 5 * kMillisecond);
+  ASSERT_EQ(group.primary_id(), 1u);
+
+  std::vector<uint8_t> replay;
+  group.DeliverClientFrame(1, frame, [&](std::vector<uint8_t> bytes) {
+    replay = std::move(bytes);
+  });
+  while (replay.empty()) {
+    ASSERT_TRUE(sim.Step());
+  }
+  EXPECT_EQ(ReadU64(group, 1, 500), 2u);
+  EXPECT_GE(group.stats().session_dedup_hits, 1u);
 }
 
 // --- determinism ---
