@@ -271,6 +271,10 @@ ScenarioOutcome RunClusterScenario(const ClusterScenarioOptions& options,
   config.group.num_replicas = options.num_replicas;
   config.group.server.kvs_memory_bytes = 8 * kMiB;
   config.group.server.nic_dram.capacity_bytes = 1 * kMiB;
+  // A short log: a replica restarted after a few rounds has missed trimmed
+  // entries and rejoins by state transfer, so the scripts exercise snapshot
+  // resync (and a resynced replica's later leadership), not only log replay.
+  config.group.max_log_entries = 16;
   // A small, slowly paced copy stream keeps the copy phase open for hundreds
   // of microseconds, so workload rounds (paced across the event horizon
   // below) genuinely overlap it: forwards race chunk installs, which is the
