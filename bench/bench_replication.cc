@@ -395,8 +395,8 @@ int main(int argc, char** argv) {
   kvd::bench::JsonReport report("replication");
 
   if (kvd::bench::GoldenArg(argc, argv)) {
-    // Golden mode: the RF-3 throughput cell alone (same seed, so the row
-    // matches the full sweep's RF-3 row byte-for-byte).
+    // Golden mode: the RF-3 throughput cell (same seed, so the row matches
+    // the full sweep's RF-3 row byte-for-byte) and the resync row.
     report.BeginSeries("replication_factor");
     const kvd::FactorPoint p = kvd::RunFactor(3, /*seed=*/2026);
     report.AddRow({{"replicas", static_cast<double>(p.replicas)},

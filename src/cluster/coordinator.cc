@@ -251,8 +251,7 @@ void ClusterCoordinator::StartCopy() {
   SnapshotStream::Header header;
   header.epoch = map_.epoch;
   header.sender = m.from;
-  // Session records were installed above, so the chunks carry none and
-  // keep their pre-session-flag bytes.
+  // The session records were installed above; the chunks carry only KVs.
   std::vector<SnapshotChunk> chunks =
       SnapshotStream::Pack(header, source.SnapshotPartitionKvs(router, m.partition),
                            {}, config_.copy_chunk_kvs);

@@ -54,8 +54,8 @@ inline constexpr uint8_t kMaxReplicaMessageType =
 
 inline constexpr uint8_t kStateChunkFirst = 1u << 0;  // wipe target state first
 inline constexpr uint8_t kStateChunkLast = 1u << 1;   // snapshot complete
-// Session records follow the KVs. Chunks without any (every migration copy
-// chunk) encode exactly as before the flag existed.
+// Session records follow the KVs. A chunk without records (every migration
+// copy chunk) leaves the flag clear and carries no session section.
 inline constexpr uint8_t kStateChunkSessions = 1u << 2;
 inline constexpr uint8_t kStateChunkKnownFlags =
     kStateChunkFirst | kStateChunkLast | kStateChunkSessions;
