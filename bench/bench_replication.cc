@@ -201,7 +201,6 @@ ResyncPoint RunResync() {
   config.max_log_entries = 16;
   ReplicationGroup group(config);
   ReplicatedClient client(group);
-  KvEndpoint& ep = client;  // the driver sees only the endpoint interface
   Simulator& sim = group.simulator();
 
   constexpr uint64_t kKeys = 300;
@@ -211,12 +210,12 @@ ResyncPoint RunResync() {
       op.opcode = Opcode::kPut;
       op.key = Key(id);
       op.value = U64Value(id * 7);
-      ep.Enqueue(std::move(op));
+      client.Enqueue(std::move(op));
       if (id % 32 == 31) {
-        ep.Flush();
+        client.Flush();
       }
     }
-    ep.Flush();
+    client.Flush();
   };
   write_range(0, 20);
   group.CrashReplica(2);
