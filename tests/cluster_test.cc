@@ -772,6 +772,58 @@ TEST(ClusterElasticityTest, SplitDoublesTheMapWithoutMovingData) {
   }
 }
 
+TEST(ClusterElasticityTest, PreSplitClientsRebuildReadsAndApplyWritesOnce) {
+  ClusterConfig config = SmallClusterConfig(2, 2, 3);
+  ClusterCoordinator cluster(config);
+  for (uint64_t i = 0; i < 64; i++) {
+    ASSERT_TRUE(cluster.Load(Key(i), U64Value(7 * i)).ok());
+  }
+  // Both clients cache the 2-partition map; the split relabels it to 4
+  // partitions without moving data.
+  ClusterClient reader(cluster);
+  ClusterClient writer(cluster);
+  ASSERT_TRUE(cluster.SplitPartitions().ok());
+  ASSERT_EQ(cluster.shard_map().num_partitions(), 4u);
+
+  // Each pre-split packet holds keys of both halves of its old partition.
+  // The gate refuses it, and the client re-batches the reads under the
+  // refetched map.
+  for (uint64_t i = 0; i < 32; i++) {
+    reader.Enqueue(Get(i));
+  }
+  std::vector<KvResultMessage> reads = reader.Flush();
+  for (uint64_t i = 0; i < 32; i++) {
+    ASSERT_EQ(reads[i].code, ResultCode::kOk) << "key " << i;
+    EXPECT_EQ(AsU64(reads[i].value), 7 * i);
+  }
+  EXPECT_GE(reader.stats().split_rebuilds, 1u);
+
+  // Write packets cannot be re-batched under new sequences, so a straddling
+  // one fails as ambiguous. Whatever the outcome, each write is applied at
+  // most once, and every kOk write exactly once.
+  for (uint64_t i = 32; i < 64; i++) {
+    writer.Enqueue(AddU64(i, 1));
+  }
+  std::vector<KvResultMessage> writes = writer.Flush();
+  ClusterClient checker(cluster);
+  for (uint64_t i = 32; i < 64; i++) {
+    checker.Enqueue(Get(i));
+  }
+  std::vector<KvResultMessage> after = checker.Flush();
+  for (uint64_t i = 0; i < 32; i++) {
+    const uint64_t key = 32 + i;
+    ASSERT_TRUE(writes[i].code == ResultCode::kOk ||
+                writes[i].code == ResultCode::kTimedOut)
+        << "key " << key;
+    ASSERT_EQ(after[i].code, ResultCode::kOk);
+    const uint64_t applied = AsU64(after[i].value) - 7 * key;
+    EXPECT_LE(applied, 1u) << "key " << key;
+    if (writes[i].code == ResultCode::kOk) {
+      EXPECT_EQ(applied, 1u) << "key " << key;
+    }
+  }
+}
+
 // --- rebalancer planning ---
 
 TEST(RebalancerTest, DrainsInactiveGroupsFirst) {
