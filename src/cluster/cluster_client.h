@@ -1,7 +1,9 @@
 // Cluster client: shard-map caching, wrong-shard bounce recovery, and
 // cross-group exactly-once (DESIGN.md §14).
 //
-// A ClusterClient holds a cached copy of the coordinator's ShardMap and packs
+// ClusterClient is a routing policy over the GroupClient packet engine
+// (src/replica/group_client.h), the same engine ReplicatedClient runs on.
+// It holds a cached copy of the coordinator's ShardMap and packs
 // each flush per partition: one packet's keys all hash to one partition, and
 // the packet carries the client's cached map epoch and that partition
 // (GroupRequest routing extension). Routing mistakes are corrected by the
@@ -14,8 +16,9 @@
 //     wholesale when the partition count changed — a split happened),
 //     re-derives the route from the packet's own keys, and re-sends the same
 //     frame sequence to the owner. If a split divided the packet's keys
-//     between owners, a read packet is re-batched under the fresh map and a
-//     write packet fails as ambiguous (see Stats::split_write_aborts).
+//     between partitions, a read packet is re-batched under the fresh map and
+//     a write packet fails as ambiguous (see Stats::split_write_aborts) —
+//     even when both partitions still have the same owner.
 //   - kMigrating: the partition is write-frozen for a cutover window; the
 //     client backs off and re-sends. After the flip the old owner answers
 //     kWrongShard and the first rule takes over.
@@ -25,8 +28,9 @@
 // retransmission that lands after the cutover without re-executing it:
 // exactly-once holds across a mid-flight ownership change.
 //
-// Read-your-writes across groups: watermarks are (group, log index) pairs.
-// Against the same group the usual required-index rule applies; when a key's
+// Reads go to the owning group's primary. Read-your-writes across groups:
+// watermarks are (group, log index) pairs, and a packet requires the highest
+// one this client holds for its whole (group, partition). When a key's
 // partition has moved since the write, the watermark is dropped instead of
 // carried over (indices are per-group) — safe because a cutover implies the
 // write's state was installed on *every* destination replica below its log.
@@ -34,113 +38,56 @@
 #define SRC_CLUSTER_CLUSTER_CLIENT_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "src/cluster/coordinator.h"
-#include "src/transport/kv_endpoint.h"
+#include "src/replica/group_client.h"
 
 namespace kvd {
 
-class ClusterClient : public KvEndpoint {
+class ClusterClient : public GroupClient {
  public:
   struct Options {
-    uint32_t batch_payload_bytes = 4096;
-    bool enable_compression = true;
     SimTime timeout = 500 * kMicrosecond;  // doubles per retransmission
     uint32_t max_attempts = 24;
-    uint32_t attempts_per_target = 3;
     // Backoff before re-sending after a redirect, stale-read, or wrong-shard
     // bounce.
     SimTime redirect_backoff = 50 * kMicrosecond;
     // Backoff after a kMigrating bounce: the freeze window is a whole cutover
     // quiesce, so hammering at the redirect cadence only burns attempts.
     SimTime migrate_backoff = 100 * kMicrosecond;
-    bool jitter = true;
-    uint32_t retry_budget = 0;
-    double retry_refill_per_success = 0.1;
-  };
-
-  struct Stats : ReliableSender::Stats {
-    uint64_t redirects_followed = 0;   // kGroupRedirect bounces
-    uint64_t stale_retries = 0;        // kGroupStaleRead bounces
-    uint64_t wrong_shard_bounces = 0;  // kGroupWrongShard bounces
-    uint64_t migrating_backoffs = 0;   // kGroupMigrating bounces
-    uint64_t map_patches = 0;          // single-partition map corrections
-    uint64_t map_refetches = 0;        // wholesale map fetches (splits)
-    // Read-only packets re-batched because a split divided their keys
-    // between partitions that no longer share an owner.
-    uint64_t split_rebuilds = 0;
-    // Write packets in the same position, failed as ambiguous instead: an
-    // earlier attempt may have executed before the split, and new sequences
-    // would forfeit the original frame's replay protection.
-    uint64_t split_write_aborts = 0;
   };
 
   explicit ClusterClient(ClusterCoordinator& cluster)
       : ClusterClient(cluster, Options()) {}
   ClusterClient(ClusterCoordinator& cluster, Options options);
 
-  size_t Enqueue(KvOperation op) override;
-  std::vector<KvResultMessage> Flush() override;
-
-  ReliableSender::Stats endpoint_stats() const override { return stats_; }
-  SimTime now() const override { return cluster_.simulator().Now(); }
-  bool Step() override { return cluster_.simulator().Step(); }
-
-  // Split-phase flush for multi-client composition on the shared clock.
-  void BeginFlush();
-  bool flush_done() const;
-  std::vector<KvResultMessage> TakeResults();
-
   // Replaces the cached map with the coordinator's current one (the same
   // control-plane read a bounce-driven refetch performs).
   void RefreshMap();
   const ShardMap& cached_map() const { return map_; }
 
-  const Stats& stats() const { return stats_; }
-
  private:
-  struct FlushState;
-  struct PacketCtx;
-
-  void OnResponse(const std::shared_ptr<PacketCtx>& ctx,
-                  std::vector<uint8_t> packet);
-  void Wire(const ReliableSender::PacketPtr& packet);
-  void OnFail(const ReliableSender::PacketPtr& packet);
-  // Re-frames the packet's routing header (cached epoch, partition, required
+  ReplicationGroup& Group(uint32_t id) override { return cluster_.group(id); }
+  // Batches ops per partition under the current map; used for a flush and
+  // for the post-split rebuild of a bounced read packet.
+  std::vector<PacketPtr> Build(std::vector<KvOperation> ops,
+                               const std::vector<size_t>& slots,
+                               const std::shared_ptr<FlushState>& flush) override;
+  void Route(Packet& packet) override;
+  bool OnShardBounce(const PacketPtr& packet,
+                     const GroupResponse& response) override;
+  // Patches or refetches the map, then re-routes, re-batches (reads) or
+  // aborts (writes) the bounced packet.
+  void FollowWrongShard(const PacketPtr& packet, const GroupResponse& response);
+  // Re-frames the packet's route (cached epoch, partition, required
   // watermark) around the unchanged ops payload and sequence.
-  void ReframeRoute(const std::shared_ptr<PacketCtx>& ctx);
-  // Batches `ops` per partition under the current map. `slots[i]` is the
-  // flush-result slot of ops[i]; used by BeginFlush and by the post-split
-  // rebuild of a bounced read packet.
-  std::vector<std::shared_ptr<PacketCtx>> BuildPackets(
-      const std::vector<KvOperation>& ops, const std::vector<size_t>& slots,
-      const std::shared_ptr<FlushState>& flush);
-  // Assigns a fresh sequence, routes by the packet's partition under the
-  // cached map, frames, and hands the packet to the reliable sender.
-  void SendPacket(const std::shared_ptr<PacketCtx>& packet);
-  // Schedules a Resend after `delay` unless the packet completes first.
-  void BackoffResend(const std::shared_ptr<PacketCtx>& ctx, SimTime delay);
-  uint32_t& BelievedPrimary(uint32_t group);
+  void Reframe(Packet& packet);
 
   ClusterCoordinator& cluster_;
   Options options_;
   ShardMap map_;  // cached; patched or refetched on bounces
-  std::vector<KvOperation> pending_;
-  uint64_t next_sequence_;
-  std::vector<uint32_t> believed_primary_;  // per group, grown on demand
-  // Per-key read-your-writes watermark: the group that acked the write and
-  // the quorum-committed index covering it there.
-  struct Watermark {
-    uint32_t group = 0;
-    uint64_t index = 0;
-  };
-  std::map<std::vector<uint8_t>, Watermark> watermarks_;
-  std::shared_ptr<FlushState> flush_;
-  Stats stats_;
-  ReliableSender sender_;
 };
 
 }  // namespace kvd

@@ -1,38 +1,35 @@
 // Client endpoint for a single replication group (DESIGN.md §9.5).
 //
-// ReplicatedClient routes writes to the primary it currently believes in and
-// follows redirects through epoch changes; it load-balances read-only packets
-// round-robin across all replicas, attaching a per-key log-index watermark so
-// a lagging backup rejects the read instead of serving stale data
-// (read-your-writes across flushes). Retransmission reuses the PR 2 frame
-// sequence, so a retried request is answered exactly once — from the replay
-// cache on the same primary, or from the replicated session records after a
-// failover.
+// ReplicatedClient is a routing policy over the GroupClient packet engine
+// (src/replica/group_client.h). It routes writes to the primary it currently
+// believes in and follows redirects through epoch changes; it load-balances
+// read-only packets round-robin across all replicas, attaching the highest
+// log-index watermark of the packet's own keys so a lagging backup rejects
+// the read instead of serving stale data (read-your-writes across flushes).
+// Its frames are unrouted: byte-identical to the pre-cluster wire format.
+// Retransmission reuses the frame sequence, so a retried request is answered
+// exactly once — from the replay cache on the same primary, or from the
+// replicated session records after a failover.
 //
 // Sharded deployments live in src/cluster: a ClusterCoordinator composes one
 // ReplicationGroup per group on a shared clock under an epoch-versioned shard
-// map, and ClusterClient routes per-partition packets with bounce-driven map
-// correction (DESIGN.md §14).
+// map, and ClusterClient — a second policy over the same engine — routes
+// per-partition packets with bounce-driven map correction (DESIGN.md §14).
 #ifndef SRC_REPLICA_REPLICATED_CLIENT_H_
 #define SRC_REPLICA_REPLICATED_CLIENT_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <span>
 #include <vector>
 
-#include "src/common/key_router.h"
+#include "src/replica/group_client.h"
 #include "src/replica/replication_group.h"
-#include "src/transport/kv_endpoint.h"
 
 namespace kvd {
 
-class ReplicatedClient : public KvEndpoint {
+class ReplicatedClient : public GroupClient {
  public:
   struct Options {
-    uint32_t batch_payload_bytes = 4096;
-    bool enable_compression = true;
     SimTime timeout = 500 * kMicrosecond;  // doubles per retransmission
     // Transmissions of one packet before its operations fail with kTimedOut:
     // sized to ride out a failover (detection + election) under the doubling
@@ -41,95 +38,42 @@ class ReplicatedClient : public KvEndpoint {
     // After this many attempts at one replica, rotate to the next — the
     // current target may be crashed.
     uint32_t attempts_per_target = 3;
-    // Wait before re-sending after a redirect or stale-read bounce, giving
-    // the group a beat to converge instead of hammering it.
-    SimTime redirect_backoff = 50 * kMicrosecond;
     // Per-op latency budget: each flushed op is stamped deadline = now +
     // op_budget (unless the caller stamped a tighter one) and the whole
     // stack — sender retransmissions, admission, dequeue, retirement —
     // enforces it. 0 = no deadlines.
     SimTime op_budget = 0;
-    // Decorrelated retransmission jitter and the token-bucket retry budget
-    // (see ReliableSender::RetryPolicy; 0 disables the budget).
-    bool jitter = true;
-    uint32_t retry_budget = 0;
-    double retry_refill_per_success = 0.1;
     // Deadline-aware hedged reads: if a read packet has no response after
     // the hedge delay, send the same frame (same sequence — replay dedup
     // makes the duplicate harmless) to the next replica and take whichever
     // response lands first. Writes are never hedged: they must go to the
     // primary. The delay adapts to the observed read RTT distribution (p99
-    // once 16 samples exist, timeout/2 before that), floored at
-    // hedge_min_delay; set hedge_delay to pin it.
+    // once 16 samples exist, timeout/2 before that), floored at 10 µs; set
+    // hedge_delay to pin it.
     bool hedge_reads = false;
     SimTime hedge_delay = 0;  // 0 = adaptive (p99 of read RTT)
-    SimTime hedge_min_delay = 10 * kMicrosecond;
-  };
-
-  // packets_sent / retransmits / corrupt_responses / duplicate_responses as
-  // in ReliableSender::Stats, plus the group-protocol bounces.
-  struct Stats : ReliableSender::Stats {
-    uint64_t redirects_followed = 0;  // kGroupRedirect bounces
-    uint64_t stale_retries = 0;       // kGroupStaleRead bounces
-    uint64_t hedge_wins = 0;          // packets completed by the hedge copy
   };
 
   explicit ReplicatedClient(ReplicationGroup& group)
       : ReplicatedClient(group, Options()) {}
   ReplicatedClient(ReplicationGroup& group, Options options);
 
-  // Queues an operation for the next flush; returns its result index.
-  size_t Enqueue(KvOperation op) override;
-
-  // Sends every queued operation and drives the group's simulator until all
-  // responses arrive. Results are in enqueue order.
-  std::vector<KvResultMessage> Flush() override;
-
-  ReliableSender::Stats endpoint_stats() const override { return stats_; }
-  SimTime now() const override { return group_.simulator().Now(); }
-  bool Step() override { return group_.simulator().Step(); }
-
-  // Split-phase flush for multi-shard composition: BeginFlush() transmits
-  // without stepping the simulator; the caller steps the (shared) clock until
-  // flush_done(), then TakeResults().
-  void BeginFlush();
-  bool flush_done() const;
-  std::vector<KvResultMessage> TakeResults();
-
-  const Stats& stats() const { return stats_; }
-  // Observed read round-trip distribution (first transmission -> accepted
-  // response, ns) — the source of the adaptive hedge delay.
-  const LatencyHistogram& read_rtt_ns() const { return read_rtt_ns_; }
-
  private:
-  struct FlushState;
-  struct PacketCtx;
-
-  void OnResponse(const std::shared_ptr<PacketCtx>& ctx,
-                  std::vector<uint8_t> packet, bool from_hedge = false);
-  // ReliableSender hooks: one wire round trip; retry exhaustion.
-  void Wire(const ReliableSender::PacketPtr& packet);
-  // One transmission toward an explicit target; `hedge` marks the duplicate
-  // copy so its response can be credited as a hedge win.
-  void WireTo(const std::shared_ptr<PacketCtx>& ctx, uint32_t target,
-              bool hedge);
-  void OnFail(const ReliableSender::PacketPtr& packet);
+  ReplicationGroup& Group(uint32_t /*id*/) override { return group_; }
+  std::vector<PacketPtr> Build(std::vector<KvOperation> ops,
+                               const std::vector<size_t>& slots,
+                               const std::shared_ptr<FlushState>& flush) override;
+  void Route(Packet& packet) override;
+  void OnSent(const PacketPtr& packet) override;
+  void OnAnswered(const Packet& packet, bool from_hedge) override;
   SimTime HedgeDelay() const;
 
   ReplicationGroup& group_;
   Options options_;
-  std::vector<KvOperation> pending_;
-  uint64_t next_sequence_;
-  uint32_t believed_primary_ = 0;
   uint32_t next_read_target_ = 0;  // round-robin cursor for read packets
-  // Per-key quorum-committed index of this client's acknowledged writes: the
-  // watermark a replica must have applied before serving the key back
-  // (read-your-writes). std::map for deterministic iteration.
-  std::map<std::vector<uint8_t>, uint64_t> watermarks_;
-  std::shared_ptr<FlushState> flush_;
-  Stats stats_;
+  // Observed read round trips (first transmission -> accepted response, ns):
+  // the source of the adaptive hedge delay.
   LatencyHistogram read_rtt_ns_;
-  ReliableSender sender_;
 };
 
 }  // namespace kvd
