@@ -35,7 +35,7 @@ class KvDirectServer {
  public:
   // By default the server owns its simulator. Passing `external_sim` puts
   // several servers on one clock — required when they exchange messages
-  // (MultiNicServer shards, src/replica replication groups).
+  // (the replicas of a src/replica replication group).
   explicit KvDirectServer(const ServerConfig& config,
                           Simulator* external_sim = nullptr);
 

@@ -6,12 +6,11 @@
 
 namespace kvd {
 
-MultiNicServer::MultiNicServer(uint32_t num_nics, const ServerConfig& per_nic_config,
-                               Simulator* shared_sim)
+MultiNicServer::MultiNicServer(uint32_t num_nics, const ServerConfig& per_nic_config)
     : router_(num_nics) {
   KVD_CHECK(num_nics >= 1);
   for (uint32_t i = 0; i < num_nics; i++) {
-    nics_.push_back(std::make_unique<KvDirectServer>(per_nic_config, shared_sim));
+    nics_.push_back(std::make_unique<KvDirectServer>(per_nic_config));
   }
 }
 

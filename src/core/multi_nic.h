@@ -28,12 +28,8 @@ namespace kvd {
 class MultiNicServer {
  public:
   // `per_nic_config` applies to every NIC; kvs_memory_bytes is the size of
-  // each NIC's partition (total capacity = num_nics x partition). Passing
-  // `shared_sim` runs every NIC on one clock instead of one simulator per
-  // NIC — needed when the shards are composed with subsystems that exchange
-  // messages across them (src/replica).
-  MultiNicServer(uint32_t num_nics, const ServerConfig& per_nic_config,
-                 Simulator* shared_sim = nullptr);
+  // each NIC's partition (total capacity = num_nics x partition).
+  MultiNicServer(uint32_t num_nics, const ServerConfig& per_nic_config);
 
   uint32_t num_nics() const { return static_cast<uint32_t>(nics_.size()); }
   KvDirectServer& nic(uint32_t i) { return *nics_[i]; }

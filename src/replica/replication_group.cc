@@ -12,6 +12,10 @@
 namespace kvd {
 namespace {
 
+// The primary's tick: append windows (heartbeats), failure detection, gray
+// peer evaluation. Also the backup's per-id election stagger.
+constexpr SimTime kHeartbeatInterval = 200 * kMicrosecond;
+
 ReplicaMessage MakeMessage(ReplicaMessageType type, uint64_t epoch, uint32_t sender) {
   ReplicaMessage msg;
   msg.type = type;
@@ -72,8 +76,8 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
     rep->snapshot = std::make_unique<SnapshotStream>(
         sim_, kStateTransferBytesPerSec, /*await_acks=*/false);
     rep->endpoint = std::make_unique<FrameEndpoint>(
-        sim_, ReplayCache::Config{config_.replay_cache_entries,
-                                  config_.replay_retain_time});
+        sim_, ReplayCache::Config{config_.server.replay_cache_entries,
+                                  config_.server.replay_retain_time});
     rep->match.assign(config_.num_replicas, 0);
     rep->next.assign(config_.num_replicas, 1);
     rep->demoted.assign(config_.num_replicas, 0);
@@ -93,7 +97,7 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
   }
 
   std::shared_ptr<bool> alive = liveness_;
-  sim_.ScheduleAt(sim_.Now() + config_.heartbeat_interval, [this, alive] {
+  sim_.ScheduleAt(sim_.Now() + kHeartbeatInterval, [this, alive] {
     if (*alive) {
       Tick();
     }
@@ -613,7 +617,8 @@ void ReplicationGroup::RecordSession(Replica& rep, uint64_t sequence,
   it->second[slot] = result;
   if (inserted) {
     rep.session_order.push_back(sequence);
-    while (rep.session_order.size() > config_.session_entries) {
+    constexpr size_t kSessionEntries = 1u << 16;  // oldest evicted first
+    while (rep.session_order.size() > kSessionEntries) {
       rep.sessions.erase(rep.session_order.front());
       rep.session_order.pop_front();
     }
@@ -934,7 +939,8 @@ void ReplicationGroup::SendWindow(Replica& primary, uint32_t peer) {
   msg.prev_epoch = primary.log.EpochAt(first - 1);
   msg.commit_index = primary.commit;
   msg.leader_end = primary.log.end();
-  msg.entries = primary.log.Window(first, config_.max_append_entries);
+  constexpr uint32_t kMaxAppendEntries = 64;  // entries per kAppend window
+  msg.entries = primary.log.Window(first, kMaxAppendEntries);
   primary.next[peer] = first + msg.entries.size();
   stats_.appends_sent++;
   stats_.entries_shipped += msg.entries.size();
@@ -1215,9 +1221,12 @@ void ReplicationGroup::StartElection(Replica& rep) {
     query.new_epoch = ballot;
     SendReplicaMessage(rep.id, peer, query);
   }
+  // How long the coordinator collects log positions before picking the
+  // winner.
+  constexpr SimTime kElectionTimeout = 400 * kMicrosecond;
   std::shared_ptr<bool> alive = liveness_;
   const uint32_t id = rep.id;
-  sim_.ScheduleAt(sim_.Now() + config_.election_timeout,
+  sim_.ScheduleAt(sim_.Now() + kElectionTimeout,
                   [this, alive, id, round] {
                     if (!*alive) {
                       return;
@@ -1319,7 +1328,7 @@ void ReplicationGroup::BuildSnapshot(uint32_t primary_id, uint64_t transfer_epoc
     // transfer could be postponed indefinitely.
     primary.draining_for_snapshot = true;
     std::shared_ptr<bool> alive = liveness_;
-    sim_.ScheduleAt(sim_.Now() + config_.heartbeat_interval,
+    sim_.ScheduleAt(sim_.Now() + kHeartbeatInterval,
                     [this, alive, primary_id, transfer_epoch] {
                       if (*alive) {
                         BuildSnapshot(primary_id, transfer_epoch);
@@ -1417,7 +1426,7 @@ void ReplicationGroup::Tick() {
     } else if (!rep.receiving_snapshot && !rep.election_active &&
                sim_.Now() - rep.last_primary_contact >
                    config_.failure_timeout +
-                       rep.id * config_.heartbeat_interval) {
+                       rep.id * kHeartbeatInterval) {
       // Per-id stagger: the deterministic clock has no randomized timeouts,
       // so without it every backup campaigns on the same tick and votes for
       // itself, splitting the electorate forever.
@@ -1425,7 +1434,7 @@ void ReplicationGroup::Tick() {
     }
   }
   std::shared_ptr<bool> alive = liveness_;
-  sim_.ScheduleAt(sim_.Now() + config_.heartbeat_interval, [this, alive] {
+  sim_.ScheduleAt(sim_.Now() + kHeartbeatInterval, [this, alive] {
     if (*alive) {
       Tick();
     }

@@ -74,8 +74,10 @@ struct ReplicationConfig {
   // two primaries at the same epoch.
   uint32_t quorum = 0;
 
-  // Applied to every replica. The group forces processor.max_backlog = 0:
-  // backups must apply log entries in log order, never bounce them.
+  // Applied to every replica, including its client replay cache
+  // (replay_cache_entries, replay_retain_time). The group forces
+  // processor.max_backlog = 0: backups must apply log entries in log order,
+  // never bounce them.
   ServerConfig server;
   // One inbound replication link per replica, on the shared clock. The
   // group's own FaultInjector is attached, so scripted drops can lag a
@@ -85,13 +87,9 @@ struct ReplicationConfig {
   // replica, in id order, each heartbeat tick) plus replication-link drops.
   FaultPlan faults;
 
-  SimTime heartbeat_interval = 200 * kMicrosecond;
   // A backup that hears nothing from its primary for this long starts an
   // election.
   SimTime failure_timeout = 1 * kMillisecond;
-  // How long an election coordinator collects log positions before picking
-  // the winner.
-  SimTime election_timeout = 400 * kMicrosecond;
 
   // Gray-failure demotion (overload control, DESIGN.md §12): a backup is
   // demoted out of the *commit* quorum when its acked position lags the
@@ -108,16 +106,9 @@ struct ReplicationConfig {
   uint64_t demote_lag_entries = 0;
   SimTime demote_grace = 2 * kMillisecond;
 
-  uint32_t max_append_entries = 64;  // entries per kAppend window
   // Older entries are trimmed beyond this; a peer needing them falls back to
   // state transfer.
   uint64_t max_log_entries = 1u << 16;
-
-  // Client replay cache per replica (same semantics as ServerConfig's).
-  uint32_t replay_cache_entries = 4096;
-  SimTime replay_retain_time = 100 * kMillisecond;
-  // Replicated session-result records kept (oldest evicted first).
-  uint32_t session_entries = 1u << 16;
 
   // Group-level request tracing: one RequestTracer/FlightRecorder pair shared
   // by every replica (the per-server ones are bypassed), so a write's trace

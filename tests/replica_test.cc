@@ -1073,18 +1073,5 @@ TEST(ReplicationGroupTest, SameSeedReplayIsBitIdentical) {
 // (ClusterCoordinator + ClusterClient); their coverage lives in
 // tests/cluster_test.cc.
 
-TEST(MultiNicSharedSimTest, ShardsAcceptAnExternalClock) {
-  Simulator sim;
-  ServerConfig config;
-  config.kvs_memory_bytes = 8 * kMiB;
-  config.nic_dram.capacity_bytes = 1 * kMiB;
-  MultiNicServer multi(2, config, &sim);
-  EXPECT_EQ(&multi.nic(0).simulator(), &sim);
-  EXPECT_EQ(&multi.nic(1).simulator(), &sim);
-  ASSERT_TRUE(multi.Load(Key(1), U64Value(9)).ok());
-  KvResultMessage r = multi.Execute(Get(1));
-  EXPECT_EQ(r.code, ResultCode::kOk);
-}
-
 }  // namespace
 }  // namespace kvd
