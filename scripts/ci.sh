@@ -5,8 +5,9 @@
 #   1. layering guards — the transport layer (src/transport) must hold the
 #      only copy of the framing/replay-dedup logic, request traces must be
 #      the only tracing pipeline, the timed memory path must stay on
-#      InlineCallback, and snapshot chunks must come from the one snapshot
-#      stream;
+#      InlineCallback, snapshot chunks must come from the one snapshot
+#      stream, and group responses must be decoded by the one group-client
+#      engine;
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -69,6 +70,18 @@ chunkers=$(grep -rnE 'MakeMessage\(ReplicaMessageType::kStateChunk|type = Replic
 if [[ -n "${chunkers}" ]]; then
   echo "kStateChunk message built outside the snapshot stream:" >&2
   echo "${chunkers}" >&2
+  exit 1
+fi
+
+echo "=== layering guard: one group-client engine ==="
+# ReplicatedClient and ClusterClient are routing policies over one packet
+# engine (src/replica/group_client.*, DESIGN.md §9 and §14). A group response
+# decoded anywhere else is a second client engine coming back.
+decoders=$(grep -rnE 'DecodeGroupResponse\(' src bench perfbench \
+             | grep -vE '^src/replica/(replica_wire|group_client)\.' || true)
+if [[ -n "${decoders}" ]]; then
+  echo "group response decoded outside the group-client engine:" >&2
+  echo "${decoders}" >&2
   exit 1
 fi
 

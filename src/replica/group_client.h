@@ -77,6 +77,10 @@ class GroupClient : public KvEndpoint {
 
   const Stats& stats() const { return stats_; }
 
+  // The sender's hooks and in-flight callbacks hold `this`.
+  GroupClient(const GroupClient&) = delete;
+  GroupClient& operator=(const GroupClient&) = delete;
+
  protected:
   struct FlushState {
     std::vector<KvResultMessage> results;

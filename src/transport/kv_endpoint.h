@@ -4,7 +4,8 @@
 // servers), ReplicatedClient (one replicated group), ClusterClient (sharded
 // replicated groups) — speaks this interface, so a benchmark or test driver
 // written once (bench/bench_util.h DriveEndpoint, the YCSB harness) runs
-// unchanged against any topology.
+// unchanged against any topology. The two group clients implement it once,
+// in their shared GroupClient engine (src/replica/group_client.h).
 //
 // Enqueue/Flush is the reliable batched path all endpoints implement.
 // SubmitPacket is the raw datagram path used by closed-loop throughput

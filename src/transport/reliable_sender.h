@@ -1,10 +1,11 @@
 // Client-side half of the reliable channel: per-packet retransmission with
 // exponential backoff, optional target rotation, and response dedup.
 //
-// One implementation drives every reliable client (single-server Client,
-// ReplicatedClient, and through them MultiNicClient/ClusterClient). The
-// sender owns the retry state machine; the owner supplies what differs per
-// topology through hooks:
+// One implementation drives every reliable client: the single-server Client
+// (and through it MultiNicClient), and the GroupClient engine that
+// ReplicatedClient and ClusterClient run on (src/replica/group_client.h).
+// The sender owns the retry state machine; the owner supplies what differs
+// per topology through hooks:
 //
 //   wire     — actually puts the packet's framed bytes on the wire toward
 //              packet->target and arranges for AcceptResponse on delivery.
