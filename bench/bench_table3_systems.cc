@@ -126,7 +126,8 @@ int main() {
   // A real wall-clock datapoint for the CPU-KVS class on this host (one
   // worker per hardware thread), alongside the paper's published rows.
   const unsigned host_threads = std::max(1u, std::thread::hardware_concurrency());
-  const double cpu_kvs_mops = kvd::MeasureCpuKvsMops(host_threads, 1 << 20, 2000000);
+  const double cpu_kvs_mops =
+      kvd::MeasureCpuKvsMops(host_threads, 1 << 20, 2000000).wall_mops;
 
   TablePrinter table({"system", "tput_Mops", "power_W", "kops_per_W", "tail_us"});
   for (const kvd::PublishedSystem& system : kvd::kPublishedSystems) {

@@ -1,7 +1,9 @@
 #include "src/baseline/cpu_kvs.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <ctime>
 #include <thread>
 
 #include "src/common/assert.h"
@@ -76,7 +78,18 @@ size_t CpuKvs::size() const {
   return total;
 }
 
-double MeasureCpuKvsMops(unsigned num_threads, uint64_t num_keys, uint64_t total_ops) {
+namespace {
+
+int64_t ThreadCpuNs() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+}
+
+}  // namespace
+
+CpuKvsThroughput MeasureCpuKvsMops(unsigned num_threads, uint64_t num_keys,
+                                   uint64_t total_ops) {
   KVD_CHECK(num_threads >= 1);
   CpuKvs store(64);
   std::vector<uint8_t> key(8);
@@ -85,7 +98,9 @@ double MeasureCpuKvsMops(unsigned num_threads, uint64_t num_keys, uint64_t total
     KVD_CHECK(store.Put(key, key).ok());
   }
   const uint64_t per_thread = total_ops / num_threads;
+  std::vector<int64_t> cpu_ns(num_threads);
   auto worker = [&](unsigned tid) {
+    const int64_t cpu_start = ThreadCpuNs();
     Rng rng(1000 + tid);
     std::vector<uint8_t> thread_key(8);
     std::vector<uint8_t> out;
@@ -94,6 +109,7 @@ double MeasureCpuKvsMops(unsigned num_threads, uint64_t num_keys, uint64_t total
       std::memcpy(thread_key.data(), &id, 8);
       (void)store.Get(thread_key, out);
     }
+    cpu_ns[tid] = ThreadCpuNs() - cpu_start;
   };
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
@@ -106,7 +122,13 @@ double MeasureCpuKvsMops(unsigned num_threads, uint64_t num_keys, uint64_t total
   }
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return static_cast<double>(per_thread * num_threads) / seconds / 1e6;
+  int64_t total_cpu_ns = 0;
+  for (const int64_t ns : cpu_ns) {
+    total_cpu_ns += ns;
+  }
+  const double ops = static_cast<double>(per_thread * num_threads);
+  return {.wall_mops = ops / seconds / 1e6,
+          .core_mops = ops / std::max<double>(total_cpu_ns, 1) * 1e3};
 }
 
 }  // namespace kvd

@@ -50,10 +50,17 @@ class CpuKvs {
   mutable std::vector<Shard> shards_;
 };
 
-// Wall-clock GET throughput of CpuKvs with `num_threads` worker threads over
-// `num_keys` preloaded 8-byte values (Mops). A real measurement on this
-// host, complementing the paper-constant model.
-double MeasureCpuKvsMops(unsigned num_threads, uint64_t num_keys, uint64_t total_ops);
+// GET throughput of CpuKvs with `num_threads` worker threads over `num_keys`
+// preloaded 8-byte values. A real measurement on this host, complementing the
+// paper-constant model.
+struct CpuKvsThroughput {
+  double wall_mops = 0;  // ops per elapsed wall second, all workers together
+  // Ops per second of the workers' summed thread-CPU time: the per-core rate,
+  // which does not fall when other processes share the host.
+  double core_mops = 0;
+};
+CpuKvsThroughput MeasureCpuKvsMops(unsigned num_threads, uint64_t num_keys,
+                                   uint64_t total_ops);
 
 }  // namespace kvd
 

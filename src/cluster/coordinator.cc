@@ -31,19 +31,11 @@ ClusterCoordinator::ClusterCoordinator(const ClusterConfig& config)
     : config_(config) {
   KVD_CHECK_MSG(config_.num_groups >= 1, "a cluster needs at least one group");
   KVD_CHECK_MSG(config_.num_partitions >= 1, "a cluster needs partitions");
-  request_tracer_.set_enabled(config_.enable_request_tracing);
-  flight_recorder_.Configure(config_.flight);
-  flight_recorder_.set_enabled(config_.enable_request_tracing);
-  flight_recorder_.SetRequestTracer(&request_tracer_);
-  flight_recorder_.SetMetricRegistry(&metrics_);
-  request_tracer_.set_on_complete(
-      [this](const OpTrace& trace) { flight_recorder_.OnTraceComplete(trace); });
-
   migration_fault_ = std::make_unique<FaultInjector>(config_.migration_faults);
-  migration_fault_->SetFlightRecorder(&flight_recorder_);
+  migration_fault_->SetFlightRecorder(&flight_recorder());
   migration_net_ = std::make_unique<NetworkModel>(sim_, config_.migration_network);
   migration_net_->SetFaultInjector(migration_fault_.get());
-  migration_net_->SetRequestTracer(&request_tracer_);
+  migration_net_->SetRequestTracer(&request_tracer());
 
   map_ = ShardMap::Initial(config_.num_partitions, config_.num_groups);
   partition_ops_.assign(config_.num_partitions, 0);
@@ -203,11 +195,11 @@ Status ClusterCoordinator::StartMigration(uint32_t partition,
   migration_.phase = Migration::Phase::kCopy;
   migration_.round = round;
   migration_.started_at = sim_.Now();
-  if (request_tracer_.enabled()) {
+  if (request_tracer().enabled()) {
     // The migration is traced as one synthetic op: chunk flights, forwards,
     // retransmissions, and the freeze window all hang off this handle, and
     // the cutover flight dump carries the whole span tree.
-    migration_.trace = request_tracer_.Start(
+    migration_.trace = request_tracer().Start(
         Opcode::kPut, (1ull << 62) | ++next_migration_trace_sequence_, 0);
   }
   stats_.migrations_started++;
@@ -371,9 +363,9 @@ void ClusterCoordinator::ArmRetransmitTimer() {
           const uint32_t resent = next > m.acked ? next - m.acked : 0;
           stats_.copy_chunk_retransmits += resent;
           if (m.trace != 0) {
-            request_tracer_.Span(m.trace, SpanKind::kRetransmit,
-                                 sim_.Now() - config_.copy_retransmit_timeout,
-                                 sim_.Now(), m.acked);
+            request_tracer().Span(m.trace, SpanKind::kRetransmit,
+                                  sim_.Now() - config_.copy_retransmit_timeout,
+                                  sim_.Now(), m.acked);
           }
           copy_stream_.Rewind(m.acked);
         }
@@ -467,8 +459,8 @@ void ClusterCoordinator::OnCommitted(uint32_t group, const LogEntry& entry) {
   }
   dest.InstallSessionRecord(entry.client_sequence, entry.slot, entry.result);
   if (m.trace != 0) {
-    request_tracer_.Span(m.trace, SpanKind::kReplShip, started, sim_.Now(),
-                         stats_.forwards);
+    request_tracer().Span(m.trace, SpanKind::kReplShip, started, sim_.Now(),
+                          stats_.forwards);
   }
 }
 
@@ -490,9 +482,9 @@ void ClusterCoordinator::Flip() {
       static_cast<uint64_t>((sim_.Now() - m.started_at) / kNanosecond);
   migration_ns_.Add(elapsed_ns);
   if (m.trace != 0) {
-    request_tracer_.Span(m.trace, SpanKind::kDeadlineWait, m.frozen_at,
-                         sim_.Now(), m.partition);
-    request_tracer_.Finish(m.trace, ResultCode::kOk);
+    request_tracer().Span(m.trace, SpanKind::kDeadlineWait, m.frozen_at,
+                          sim_.Now(), m.partition);
+    request_tracer().Finish(m.trace, ResultCode::kOk);
   }
   const std::string detail = "partition " + std::to_string(m.partition) +
                              " cut over to group " + std::to_string(m.to) +
@@ -502,7 +494,7 @@ void ClusterCoordinator::Flip() {
   migration_.round = round;  // keeps stale-callback guards monotonic
   // The dump after the trace is finished: the completed ring now holds the
   // migration's full span tree.
-  flight_recorder_.Trigger(FlightTrigger::kShardCutover, detail);
+  flight_recorder().Trigger(FlightTrigger::kShardCutover, detail);
 }
 
 void ClusterCoordinator::ResetLoadCounters() {
@@ -581,10 +573,6 @@ void ClusterCoordinator::RegisterMetrics() {
                              [this] { return migration_ns_; });
   migration_net_->RegisterMetrics(metrics_);
   migration_fault_->RegisterMetrics(metrics_);
-  if (config_.enable_request_tracing) {
-    request_tracer_.RegisterMetrics(metrics_);
-    flight_recorder_.RegisterMetrics(metrics_);
-  }
 }
 
 void ClusterCoordinator::RegisterPartitionGauges(uint32_t first,

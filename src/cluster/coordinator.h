@@ -177,8 +177,8 @@ class ClusterCoordinator {
   }
 
   const MetricRegistry& metrics() const { return metrics_; }
-  FlightRecorder& flight_recorder() { return flight_recorder_; }
-  RequestTracer& request_tracer() { return request_tracer_; }
+  RequestTracer& request_tracer() { return telemetry_.request_tracer(); }
+  FlightRecorder& flight_recorder() { return telemetry_.flight_recorder(); }
   const LatencyHistogram& migration_ns() const { return migration_ns_; }
   const ClusterConfig& config() const { return config_; }
 
@@ -226,8 +226,11 @@ class ClusterCoordinator {
   ClusterConfig config_;
   Simulator sim_;
   MetricRegistry metrics_;
-  RequestTracer request_tracer_{sim_};
-  FlightRecorder flight_recorder_{sim_};
+  // The cluster's own stack, for the migration's span tree; the groups
+  // trace client ops into theirs. No SLO target: the one traced op is the
+  // migration.
+  Telemetry telemetry_{sim_, metrics_, config_.enable_request_tracing,
+                       SloConfig{}, config_.flight};
   std::unique_ptr<FaultInjector> migration_fault_;
   std::unique_ptr<NetworkModel> migration_net_;
   // The active migration's copy: framed chunks, paced at copy_bytes_per_sec

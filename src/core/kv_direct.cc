@@ -39,8 +39,9 @@ Status ToStatus(ResultCode code) {
 
 }  // namespace
 
-KvDirectServer::KvDirectServer(const ServerConfig& config, Simulator* external_sim)
-    : runtime_(config, external_sim),
+KvDirectServer::KvDirectServer(const ServerConfig& config, Simulator* external_sim,
+                               Telemetry* external_telemetry)
+    : runtime_(config, external_sim, external_telemetry),
       endpoint_(runtime_.simulator(),
                 {config.replay_cache_entries, config.replay_retain_time}) {
   // The transport endpoint's counters join the runtime's registry so one
@@ -193,7 +194,7 @@ Client::Client(KvDirectServer& server, Options options)
               .jitter_seed = next_sequence_,
               .retry_budget = options_.retry.retry_budget,
               .retry_refill_per_success = options_.retry.retry_refill_per_success},
-          &stats_, [this]() -> RequestTracer& { return server_.request_tracer(); },
+          &stats_, server_.request_tracer(),
           [this](const ReliableSender::PacketPtr& packet) { Wire(packet); },
           [this](const ReliableSender::PacketPtr& packet) { OnFail(packet); }) {}
 

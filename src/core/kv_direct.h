@@ -33,11 +33,13 @@ namespace kvd {
 
 class KvDirectServer {
  public:
-  // By default the server owns its simulator. Passing `external_sim` puts
-  // several servers on one clock — required when they exchange messages
-  // (the replicas of a src/replica replication group).
+  // By default the server owns its simulator and its telemetry stack.
+  // Passing `external_sim` puts several servers on one clock — required when
+  // they exchange messages — and `external_telemetry` has them trace into one
+  // stack (the replicas of a src/replica replication group take both).
   explicit KvDirectServer(const ServerConfig& config,
-                          Simulator* external_sim = nullptr);
+                          Simulator* external_sim = nullptr,
+                          Telemetry* external_telemetry = nullptr);
 
   KvDirectServer(const KvDirectServer&) = delete;
   KvDirectServer& operator=(const KvDirectServer&) = delete;
@@ -91,20 +93,13 @@ class KvDirectServer {
   // Every subsystem's counters, gauges, and histograms (Prometheus / JSON /
   // plain-text exposition).
   const MetricRegistry& metrics() const { return runtime_.metrics(); }
-  // Request-tracing consumers (enable via ServerConfig::enable_request_tracing).
-  // `request_tracer()` returns the *active* tracer — the owned one, or the
-  // external one after UseRequestTracer (replication groups share one tracer
-  // per group). The flight recorder renders its traces as Chrome/Perfetto
-  // JSON (FlightRecorder::ToChromeTraceJson).
+  // The telemetry stack the server traces into (enable an owned one via
+  // ServerConfig::enable_request_tracing). The flight recorder renders its
+  // traces as Chrome/Perfetto JSON (FlightRecorder::ToChromeTraceJson).
   RequestTracer& request_tracer() { return runtime_.request_tracer(); }
   FlightRecorder& flight_recorder() { return runtime_.flight_recorder(); }
   LatencyBreakdown& breakdown() { return runtime_.breakdown(); }
   SloMonitor& slo_monitor() { return runtime_.slo_monitor(); }
-  // Re-points every component (and the framed delivery path) at an external
-  // tracer/recorder. The owned instances stay alive, so registered metric
-  // readers never dangle.
-  void UseRequestTracer(RequestTracer* tracer) { runtime_.UseRequestTracer(tracer); }
-  void UseFlightRecorder(FlightRecorder* recorder) { runtime_.UseFlightRecorder(recorder); }
 
  private:
   // One delivered packet collecting its results in request order. Pooled by

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "src/common/assert.h"
 
 namespace kvd {
 
@@ -35,10 +34,18 @@ void ServerConfig::AutoTune(uint32_t kv_bytes, bool long_tail) {
       static_cast<double>(kvs_memory_bytes) / std::max<uint32_t>(kv_bytes, 1));
 }
 
-NodeRuntime::NodeRuntime(const ServerConfig& config, Simulator* external_sim)
+NodeRuntime::NodeRuntime(const ServerConfig& config, Simulator* external_sim,
+                         Telemetry* external_telemetry)
     : config_(config),
       owned_sim_(external_sim != nullptr ? nullptr : std::make_unique<Simulator>()),
-      sim_(external_sim != nullptr ? *external_sim : *owned_sim_) {
+      sim_(external_sim != nullptr ? *external_sim : *owned_sim_),
+      owned_telemetry_(external_telemetry != nullptr
+                           ? nullptr
+                           : std::make_unique<Telemetry>(
+                                 sim_, metrics_, config.enable_request_tracing,
+                                 config.slo, config.flight)),
+      telemetry_(external_telemetry != nullptr ? *external_telemetry
+                                               : *owned_telemetry_) {
   HashIndexConfig index_config;
   index_config.memory_base = 0;
   index_config.memory_size = config.kvs_memory_bytes;
@@ -94,38 +101,18 @@ NodeRuntime::NodeRuntime(const ServerConfig& config, Simulator* external_sim)
   nic_dram_->SetFaultInjector(fault_.get());
   network_->SetFaultInjector(fault_.get());
 
-  // Request tracing: the tracer feeds the breakdown, the SLO monitor, and
-  // the flight-recorder ring; SLO breaches fire the recorder. Components get
-  // the pointers unconditionally (a zero handle short-circuits every hook).
-  request_tracer_.set_enabled(config.enable_request_tracing);
-  request_tracer_.SetBreakdown(&breakdown_);
-  slo_monitor_.Configure(config.slo);
-  request_tracer_.SetSloMonitor(&slo_monitor_);
-  flight_recorder_.Configure(config.flight);
-  flight_recorder_.set_enabled(config.enable_request_tracing);
-  flight_recorder_.SetRequestTracer(&request_tracer_);
-  flight_recorder_.SetMetricRegistry(&metrics_);
-  request_tracer_.set_on_complete(
-      [this](const OpTrace& trace) { active_flight_->OnTraceComplete(trace); });
-  slo_monitor_.set_on_breach([this](const std::string& detail) {
-    active_flight_->Trigger(FlightTrigger::kSloBreach, detail);
-  });
-  processor_->SetRequestTracer(&request_tracer_);
-  processor_->SetFlightRecorder(&flight_recorder_);
-  dispatcher_->SetRequestTracer(&request_tracer_);
-  dispatcher_->SetFlightRecorder(&flight_recorder_);
-  dma_->SetRequestTracer(&request_tracer_);
-  nic_dram_->SetRequestTracer(&request_tracer_);
-  network_->SetRequestTracer(&request_tracer_);
-  fault_->SetFlightRecorder(&flight_recorder_);
-  if (config.enable_request_tracing) {
-    // Registered only when tracing is on, so the default metric exposition
-    // is byte-identical to the untraced build.
-    request_tracer_.RegisterMetrics(metrics_);
-    breakdown_.RegisterMetrics(metrics_);
-    slo_monitor_.RegisterMetrics(metrics_);
-    flight_recorder_.RegisterMetrics(metrics_);
-  }
+  // Request tracing: components get the pointers unconditionally (a zero
+  // handle short-circuits every hook).
+  RequestTracer* tracer = &telemetry_.request_tracer();
+  FlightRecorder* recorder = &telemetry_.flight_recorder();
+  processor_->SetRequestTracer(tracer);
+  processor_->SetFlightRecorder(recorder);
+  dispatcher_->SetRequestTracer(tracer);
+  dispatcher_->SetFlightRecorder(recorder);
+  dma_->SetRequestTracer(tracer);
+  nic_dram_->SetRequestTracer(tracer);
+  network_->SetRequestTracer(tracer);
+  fault_->SetFlightRecorder(recorder);
 
   // Observability: every subsystem registers readers over its live stats into
   // the shared registry. Registration never changes timing.
@@ -137,24 +124,6 @@ NodeRuntime::NodeRuntime(const ServerConfig& config, Simulator* external_sim)
   dma_->RegisterMetrics(metrics_);
   nic_dram_->RegisterMetrics(metrics_);
   network_->RegisterMetrics(metrics_);
-}
-
-void NodeRuntime::UseRequestTracer(RequestTracer* tracer) {
-  KVD_CHECK(tracer != nullptr);
-  active_request_tracer_ = tracer;
-  processor_->SetRequestTracer(tracer);
-  dispatcher_->SetRequestTracer(tracer);
-  dma_->SetRequestTracer(tracer);
-  nic_dram_->SetRequestTracer(tracer);
-  network_->SetRequestTracer(tracer);
-}
-
-void NodeRuntime::UseFlightRecorder(FlightRecorder* recorder) {
-  KVD_CHECK(recorder != nullptr);
-  active_flight_ = recorder;
-  processor_->SetFlightRecorder(recorder);
-  dispatcher_->SetFlightRecorder(recorder);
-  fault_->SetFlightRecorder(recorder);
 }
 
 }  // namespace kvd

@@ -4,7 +4,7 @@
 // the hash index and slab heap, the PCIe DMA engine, the NIC DRAM load
 // dispatcher, the reservation station, the KV processor, and the 40 GbE
 // network model — wired to one discrete-event simulator plus the node's
-// observability (metrics, request tracer, SLO monitor, flight recorder).
+// observability (metrics and a request-telemetry stack).
 //
 // The runtime is the composable unit of the layered architecture: a
 // standalone KvDirectServer embeds exactly one; MultiNicServer shards and
@@ -28,9 +28,8 @@
 #include "src/mem/access_engine.h"
 #include "src/mem/host_memory.h"
 #include "src/net/network_model.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/metric_registry.h"
-#include "src/obs/request_trace.h"
+#include "src/obs/telemetry.h"
 #include "src/pcie/dma_engine.h"
 #include "src/sim/simulator.h"
 
@@ -54,11 +53,12 @@ struct ServerConfig {
   NetworkConfig network;
   KvProcessorConfig processor;
 
-  // Per-request tracing (src/obs/request_trace.h): trace contexts created at
+  // Per-request tracing (src/obs/telemetry.h): trace contexts created at
   // client send, propagated through every layer, aggregated into the latency
   // breakdown, the SLO monitor, and the flight recorder (which also renders
   // Chrome/Perfetto traces). Off by default; when disabled every hook is one
-  // branch on a zero handle.
+  // branch on a zero handle. Read only by a runtime that builds its own
+  // telemetry stack.
   bool enable_request_tracing = false;
   SloConfig slo;
   FlightRecorderConfig flight;
@@ -85,9 +85,13 @@ class NodeRuntime {
  public:
   // By default the runtime owns its simulator. Passing `external_sim` puts
   // several nodes on one clock — required when they exchange messages
-  // (MultiNicServer shards, src/replica replication groups).
+  // (MultiNicServer shards, src/replica replication groups). Likewise the
+  // runtime builds its own telemetry stack from `config` unless
+  // `external_telemetry` is passed: the replicas of a group all trace into
+  // the group's stack, so a write's trace survives a failover.
   explicit NodeRuntime(const ServerConfig& config,
-                       Simulator* external_sim = nullptr);
+                       Simulator* external_sim = nullptr,
+                       Telemetry* external_telemetry = nullptr);
 
   NodeRuntime(const NodeRuntime&) = delete;
   NodeRuntime& operator=(const NodeRuntime&) = delete;
@@ -109,17 +113,11 @@ class NodeRuntime {
   // endpoint's replay stats, for example).
   MetricRegistry& metrics_mutable() { return metrics_; }
 
-  // Request-tracing consumers. `request_tracer()` returns the *active* tracer
-  // — the owned one, or the external one after UseRequestTracer (replication
-  // groups share one tracer per group).
-  RequestTracer& request_tracer() { return *active_request_tracer_; }
-  FlightRecorder& flight_recorder() { return *active_flight_; }
-  LatencyBreakdown& breakdown() { return breakdown_; }
-  SloMonitor& slo_monitor() { return slo_monitor_; }
-  // Re-points every component at an external tracer/recorder. The owned
-  // instances stay alive, so registered metric readers never dangle.
-  void UseRequestTracer(RequestTracer* tracer);
-  void UseFlightRecorder(FlightRecorder* recorder);
+  // The telemetry stack this node traces into: its own, or the external one.
+  RequestTracer& request_tracer() { return telemetry_.request_tracer(); }
+  FlightRecorder& flight_recorder() { return telemetry_.flight_recorder(); }
+  LatencyBreakdown& breakdown() { return telemetry_.breakdown(); }
+  SloMonitor& slo_monitor() { return telemetry_.slo_monitor(); }
 
  private:
   ServerConfig config_;
@@ -129,12 +127,9 @@ class NodeRuntime {
   std::unique_ptr<Simulator> owned_sim_;
   Simulator& sim_;
   MetricRegistry metrics_;
-  RequestTracer request_tracer_{sim_};
-  LatencyBreakdown breakdown_;
-  SloMonitor slo_monitor_{sim_};
-  FlightRecorder flight_recorder_{sim_};
-  RequestTracer* active_request_tracer_ = &request_tracer_;
-  FlightRecorder* active_flight_ = &flight_recorder_;
+  // Same pattern as the simulator: null when running on an external stack.
+  std::unique_ptr<Telemetry> owned_telemetry_;
+  Telemetry& telemetry_;
   UpdateFunctionRegistry registry_;
   std::unique_ptr<HostMemory> memory_;
   std::unique_ptr<DirectEngine> direct_engine_;

@@ -23,15 +23,10 @@ bool FlightRecorder::Trigger(FlightTrigger trigger, std::string_view detail) {
   }
   triggers_seen_++;
   const size_t slot = static_cast<size_t>(trigger);
-  if (config_.once_per_trigger && slot < fired_.size() && fired_[slot]) {
+  if (slot >= fired_.size() || fired_[slot]) {
     return false;
   }
-  if (dumps_.size() >= config_.max_dumps) {
-    return false;
-  }
-  if (slot < fired_.size()) {
-    fired_[slot] = true;
-  }
+  fired_[slot] = true;
   Dump dump;
   dump.trigger = trigger;
   dump.detail = std::string(detail);
@@ -41,8 +36,6 @@ bool FlightRecorder::Trigger(FlightTrigger trigger, std::string_view detail) {
   dumps_taken_++;
   return true;
 }
-
-void FlightRecorder::Rearm() { fired_.fill(false); }
 
 std::string FlightRecorder::RenderDump(FlightTrigger trigger,
                                        std::string_view detail) const {
@@ -59,25 +52,17 @@ std::string FlightRecorder::RenderDump(FlightTrigger trigger,
   }
   json.EndArray();
   json.Key("live_traces").BeginArray();
-  if (tracer_ != nullptr) {
-    for (const OpTrace* trace : tracer_->LiveTraces()) {
-      AppendTraceJson(*trace, json);
-    }
+  for (const OpTrace* trace : tracer_.LiveTraces()) {
+    AppendTraceJson(*trace, json);
   }
   json.EndArray();
   json.Key("metrics");
-  if (registry_ != nullptr) {
-    json.RawValue(registry_->ToJson());
-  } else {
-    json.Null();
-  }
+  json.RawValue(registry_.ToJson());
   json.Key("metadata").BeginObject();
   json.Field("ring_capacity", static_cast<uint64_t>(config_.ring_capacity));
-  if (tracer_ != nullptr) {
-    json.Field("live_traces_at_trigger",
-               static_cast<uint64_t>(tracer_->LiveTraces().size()));
-    json.Field("dropped_trace_records", tracer_->dropped());
-  }
+  json.Field("live_traces_at_trigger",
+             static_cast<uint64_t>(tracer_.LiveTraces().size()));
+  json.Field("dropped_trace_records", tracer_.dropped());
   json.EndObject();
   json.EndObject();
   json.EndObject();
@@ -89,10 +74,8 @@ std::string FlightRecorder::ToChromeTraceJson() const {
   for (const OpTrace& trace : ring_) {
     traces.push_back(&trace);
   }
-  if (tracer_ != nullptr) {
-    for (const OpTrace* trace : tracer_->LiveTraces()) {
-      traces.push_back(trace);
-    }
+  for (const OpTrace* trace : tracer_.LiveTraces()) {
+    traces.push_back(trace);
   }
 
   // Track (tid) 0 holds the stages; track 1 + kind holds each SpanKind.
@@ -158,8 +141,7 @@ std::string FlightRecorder::ToChromeTraceJson() const {
   json.Field("displayTimeUnit", std::string_view("ns"));
   json.Key("metadata").BeginObject();
   json.Field("traces", static_cast<uint64_t>(traces.size()));
-  json.Field("dropped_trace_records",
-             tracer_ != nullptr ? tracer_->dropped() : uint64_t{0});
+  json.Field("dropped_trace_records", tracer_.dropped());
   json.EndObject();
   json.EndObject();
   return json.TakeString();

@@ -61,10 +61,6 @@ constexpr const char* FlightTriggerName(FlightTrigger trigger) {
 
 struct FlightRecorderConfig {
   size_t ring_capacity = 64;  // completed op traces kept
-  size_t max_dumps = 8;       // hard cap on dumps per run
-  // Each trigger kind fires at most once until Rearm() — a cascading failure
-  // produces one dump per root cause instead of one per symptom.
-  bool once_per_trigger = true;
   // Fault injections fire the recorder only when opted in: chaos runs inject
   // thousands of faults by design, and a scripted-fault experiment wants its
   // single dump to come from the *consequence* (ECC demotion, failover), not
@@ -74,30 +70,31 @@ struct FlightRecorderConfig {
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(Simulator& sim) : sim_(sim) {}
+  // Dumps read the live traces from `tracer` and snapshot `registry`; both
+  // must outlive the recorder. Built and wired by Telemetry
+  // (src/obs/telemetry.h).
+  FlightRecorder(Simulator& sim, const FlightRecorderConfig& config,
+                 bool enabled, const RequestTracer& tracer,
+                 const MetricRegistry& registry)
+      : sim_(sim),
+        config_(config),
+        enabled_(enabled),
+        tracer_(tracer),
+        registry_(registry) {}
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  void Configure(const FlightRecorderConfig& config) { config_ = config; }
   const FlightRecorderConfig& config() const { return config_; }
-
-  void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
-  // Optional dump enrichments; all may be null.
-  void SetRequestTracer(const RequestTracer* tracer) { tracer_ = tracer; }
-  void SetMetricRegistry(const MetricRegistry* registry) { registry_ = registry; }
-
-  // Ring feed — wire as the RequestTracer's on_complete callback.
+  // Ring feed: the tracer hands over every completed trace.
   void OnTraceComplete(const OpTrace& trace);
 
-  // Takes a dump unless suppressed (disabled, max_dumps reached, or this
-  // trigger kind already fired under once_per_trigger). Returns whether a
-  // dump was taken.
+  // Takes a dump unless the recorder is disabled or this trigger kind already
+  // fired. Each kind fires once per run, so a cascading failure produces one
+  // dump per root cause instead of one per symptom, and a run holds at most
+  // kNumFlightTriggers dumps. Returns whether a dump was taken.
   bool Trigger(FlightTrigger trigger, std::string_view detail = "");
-
-  // Clears the once-per-trigger latches (not the dumps already taken).
-  void Rearm();
 
   struct Dump {
     FlightTrigger trigger = FlightTrigger::kManual;
@@ -125,10 +122,10 @@ class FlightRecorder {
   std::string RenderDump(FlightTrigger trigger, std::string_view detail) const;
 
   Simulator& sim_;
-  FlightRecorderConfig config_;
-  bool enabled_ = false;
-  const RequestTracer* tracer_ = nullptr;
-  const MetricRegistry* registry_ = nullptr;
+  const FlightRecorderConfig config_;
+  const bool enabled_;
+  const RequestTracer& tracer_;
+  const MetricRegistry& registry_;
   std::deque<OpTrace> ring_;
   std::array<bool, kNumFlightTriggers> fired_{};
   std::vector<Dump> dumps_;

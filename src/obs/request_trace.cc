@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "src/common/assert.h"
+#include "src/obs/flight_recorder.h"
 #include "src/obs/json_writer.h"
 
 namespace kvd {
@@ -254,13 +255,6 @@ void SloMonitor::Record(uint64_t e2e_ns) {
   window_.Add(e2e_ns);
 }
 
-void SloMonitor::Flush() {
-  if (window_.count() > 0) {
-    Evaluate();
-    window_.Reset();
-  }
-}
-
 void SloMonitor::RollTo(SimTime now) {
   if (now < window_start_ + config_.window) {
     return;
@@ -276,42 +270,22 @@ void SloMonitor::RollTo(SimTime now) {
 
 void SloMonitor::Evaluate() {
   windows_evaluated_++;
-  last_p50_ns_ = static_cast<double>(window_.Percentile(0.5));
   last_p99_ns_ = static_cast<double>(window_.Percentile(0.99));
-  std::string breach;
-  if (config_.p50_target_ns > 0 &&
-      last_p50_ns_ > static_cast<double>(config_.p50_target_ns)) {
-    p50_breaches_++;
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "p50 %.0fns > target %lluns", last_p50_ns_,
-                  static_cast<unsigned long long>(config_.p50_target_ns));
-    breach = buf;
-  }
   if (config_.p99_target_ns > 0 &&
       last_p99_ns_ > static_cast<double>(config_.p99_target_ns)) {
     p99_breaches_++;
     char buf[96];
     std::snprintf(buf, sizeof(buf), "p99 %.0fns > target %lluns", last_p99_ns_,
                   static_cast<unsigned long long>(config_.p99_target_ns));
-    if (!breach.empty()) {
-      breach += "; ";
-    }
-    breach += buf;
-  }
-  if (!breach.empty() && on_breach_) {
-    on_breach_(breach);
+    recorder_.Trigger(FlightTrigger::kSloBreach, buf);
   }
 }
 
 void SloMonitor::RegisterMetrics(MetricRegistry& registry) {
   registry.RegisterCounter("kvd_slo_windows", "SLO windows evaluated", {},
                            &windows_evaluated_);
-  registry.RegisterCounter("kvd_slo_p50_breaches", "windows over the p50 target",
-                           {}, &p50_breaches_);
   registry.RegisterCounter("kvd_slo_p99_breaches", "windows over the p99 target",
                            {}, &p99_breaches_);
-  registry.RegisterGauge("kvd_slo_last_p50_ns", "last evaluated window p50", {},
-                         [this] { return last_p50_ns_; });
   registry.RegisterGauge("kvd_slo_last_p99_ns", "last evaluated window p99", {},
                          [this] { return last_p99_ns_; });
 }
@@ -394,24 +368,13 @@ void RequestTracer::Finish(uint64_t handle, ResultCode result) {
   if (received == OpTrace::kAbsent) {
     received = sim_.Now();
   }
-  if (breakdown_ != nullptr) {
-    breakdown_->Record(trace);
+  breakdown_.Record(trace);
+  if (trace.Has(TracePoint::kClientSend)) {
+    slo_.Record(PsToNs(trace.EndToEndPs()));
   }
-  if (slo_ != nullptr && trace.Has(TracePoint::kClientSend)) {
-    slo_->Record(PsToNs(trace.EndToEndPs()));
-  }
-  if (on_complete_) {
-    on_complete_(trace);
-  }
+  recorder_.OnTraceComplete(trace);
   finished_++;
   live_.erase(it);
-}
-
-void RequestTracer::Abandon(uint64_t handle) {
-  if (handle == 0) {
-    return;
-  }
-  live_.erase(handle);
 }
 
 void RequestTracer::RegisterPacket(uint64_t sequence,

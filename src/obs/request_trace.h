@@ -26,7 +26,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -39,6 +38,7 @@
 
 namespace kvd {
 
+class FlightRecorder;
 class JsonWriter;
 
 // Lifecycle checkpoints in chronological (= enum) order. A given op stamps a
@@ -237,38 +237,27 @@ struct LatencyBreakdownReport {
 };
 
 // Service-level objective monitor: tumbling simulated-time windows of
-// end-to-end latency, evaluated against configurable p50/p99 targets.
+// end-to-end latency, evaluated against a configurable p99 target. A window
+// over the target triggers the flight recorder.
 struct SloConfig {
   SimTime window = kMillisecond;  // tumbling window length (simulated)
-  uint64_t p50_target_ns = 0;     // 0 disables the p50 objective
-  uint64_t p99_target_ns = 0;     // 0 disables the p99 objective
+  uint64_t p99_target_ns = 0;     // 0 disables the objective
 };
 
 class SloMonitor {
  public:
-  explicit SloMonitor(Simulator& sim) : sim_(sim) {}
+  SloMonitor(Simulator& sim, const SloConfig& config, FlightRecorder& recorder)
+      : sim_(sim), config_(config), recorder_(recorder) {}
   SloMonitor(const SloMonitor&) = delete;
   SloMonitor& operator=(const SloMonitor&) = delete;
 
-  void Configure(const SloConfig& config) { config_ = config; }
-  const SloConfig& config() const { return config_; }
-
-  // Called on breach with a one-line description (feeds the flight recorder).
-  void set_on_breach(std::function<void(const std::string&)> fn) {
-    on_breach_ = std::move(fn);
-  }
-
   void Record(uint64_t e2e_ns);
-  // Evaluates the currently open window (end-of-run flush).
-  void Flush();
 
   uint64_t windows_evaluated() const { return windows_evaluated_; }
-  uint64_t p50_breaches() const { return p50_breaches_; }
   uint64_t p99_breaches() const { return p99_breaches_; }
-  double last_p50_ns() const { return last_p50_ns_; }
   double last_p99_ns() const { return last_p99_ns_; }
 
-  // kvd_slo_* counters and last-window gauges.
+  // kvd_slo_* counters and the last-window gauge.
   void RegisterMetrics(MetricRegistry& registry);
 
  private:
@@ -276,34 +265,31 @@ class SloMonitor {
   void Evaluate();
 
   Simulator& sim_;
-  SloConfig config_;
+  const SloConfig config_;
+  FlightRecorder& recorder_;
   LatencyHistogram window_;
   SimTime window_start_ = 0;
   uint64_t windows_evaluated_ = 0;
-  uint64_t p50_breaches_ = 0;
   uint64_t p99_breaches_ = 0;
-  double last_p50_ns_ = 0;
   double last_p99_ns_ = 0;
-  std::function<void(const std::string&)> on_breach_;
 };
 
-// The tracer proper: owns live traces, hands out handles, routes completed
-// traces to the breakdown, the SLO monitor, and the flight recorder.
+// The tracer proper: owns live traces, hands out handles, and feeds each
+// completed trace to the breakdown, the SLO monitor, and the flight
+// recorder's ring. Built and wired by Telemetry (src/obs/telemetry.h).
 class RequestTracer {
  public:
-  explicit RequestTracer(Simulator& sim) : sim_(sim) {}
+  RequestTracer(Simulator& sim, bool enabled, LatencyBreakdown& breakdown,
+                SloMonitor& slo, FlightRecorder& recorder)
+      : sim_(sim),
+        enabled_(enabled),
+        breakdown_(breakdown),
+        slo_(slo),
+        recorder_(recorder) {}
   RequestTracer(const RequestTracer&) = delete;
   RequestTracer& operator=(const RequestTracer&) = delete;
 
-  void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
-
-  void SetBreakdown(LatencyBreakdown* breakdown) { breakdown_ = breakdown; }
-  void SetSloMonitor(SloMonitor* slo) { slo_ = slo; }
-  // Invoked with every completed trace (the flight recorder's ring feed).
-  void set_on_complete(std::function<void(const OpTrace&)> fn) {
-    on_complete_ = std::move(fn);
-  }
 
   // Creates a live trace and stamps kClientSend now. Returns the handle, or
   // 0 when tracing is disabled or the live table is full.
@@ -323,9 +309,6 @@ class RequestTracer {
   // Stamps kClientReceive (if absent), records the result, feeds the
   // consumers, and retires the live trace.
   void Finish(uint64_t handle, ResultCode result);
-
-  // Drops a live trace without recording (fatal client-side errors).
-  void Abandon(uint64_t handle);
 
   // Client side: associates a wire sequence with the handles of the ops it
   // carries (in payload order). Re-registering under a new sequence is how
@@ -355,15 +338,15 @@ class RequestTracer {
   static constexpr size_t kMaxPackets = 8192;
 
   Simulator& sim_;
-  bool enabled_ = false;
+  const bool enabled_;
   uint64_t started_ = 0;
   uint64_t finished_ = 0;
   uint64_t dropped_ = 0;
   std::map<uint64_t, OpTrace> live_;
   std::map<uint64_t, std::vector<uint64_t>> packet_ops_;
-  LatencyBreakdown* breakdown_ = nullptr;
-  SloMonitor* slo_ = nullptr;
-  std::function<void(const OpTrace&)> on_complete_;
+  LatencyBreakdown& breakdown_;
+  SloMonitor& slo_;
+  FlightRecorder& recorder_;
 };
 
 }  // namespace kvd

@@ -33,7 +33,7 @@ GroupClient::GroupClient(Simulator& sim, RequestTracer& tracer,
                   .attempts_per_target = config.attempts_per_target,
                   .num_targets = config.replicas,
                   .jitter_seed = sequence_base},
-              &stats_, [this]() -> RequestTracer& { return tracer_; },
+              &stats_, tracer_,
               [this](const ReliableSender::PacketPtr& packet) {
                 auto p = std::static_pointer_cast<Packet>(packet);
                 Wire(p, p->target, /*hedge=*/false);

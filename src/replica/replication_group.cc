@@ -36,42 +36,23 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
                     config_.EffectiveQuorum() <= config_.num_replicas,
                 "quorum must fit the replica count");
   fault_ = std::make_unique<FaultInjector>(config_.faults);
-
-  // One tracer/recorder pair for the whole group: a write's trace spans the
-  // primary's pipeline, the replication links, and the quorum wait, and must
-  // survive a mid-flight failover to another replica's server.
-  request_tracer_.set_enabled(config_.enable_request_tracing);
-  request_tracer_.SetBreakdown(&breakdown_);
-  slo_monitor_.Configure(config_.slo);
-  request_tracer_.SetSloMonitor(&slo_monitor_);
-  flight_recorder_.Configure(config_.flight);
-  flight_recorder_.set_enabled(config_.enable_request_tracing);
-  flight_recorder_.SetRequestTracer(&request_tracer_);
-  flight_recorder_.SetMetricRegistry(&metrics_);
-  request_tracer_.set_on_complete(
-      [this](const OpTrace& trace) { flight_recorder_.OnTraceComplete(trace); });
-  slo_monitor_.set_on_breach([this](const std::string& detail) {
-    flight_recorder_.Trigger(FlightTrigger::kSloBreach, detail);
-  });
-  fault_->SetFlightRecorder(&flight_recorder_);
+  fault_->SetFlightRecorder(&flight_recorder());
 
   ServerConfig server_config = config_.server;
   // Backups apply log entries strictly in log order; a bounded backlog would
   // bounce entries with kBusy and break that.
   server_config.processor.max_backlog = 0;
-  // Per-server tracing stays off; every replica is re-pointed at the group
-  // tracer below so handles resolve identically on any replica.
-  server_config.enable_request_tracing = false;
   for (uint32_t id = 0; id < config_.num_replicas; id++) {
     auto rep = std::make_unique<Replica>();
     rep->id = id;
-    rep->server = std::make_unique<KvDirectServer>(server_config, &sim_);
-    rep->server->UseRequestTracer(&request_tracer_);
-    rep->server->UseFlightRecorder(&flight_recorder_);
+    // Every replica traces into the group's stack, so handles resolve
+    // identically on any replica.
+    rep->server =
+        std::make_unique<KvDirectServer>(server_config, &sim_, &telemetry_);
     rep->repl_net =
         std::make_unique<NetworkModel>(sim_, config_.replication_network);
     rep->repl_net->SetFaultInjector(fault_.get());
-    rep->repl_net->SetRequestTracer(&request_tracer_);
+    rep->repl_net->SetRequestTracer(&request_tracer());
     constexpr double kStateTransferBytesPerSec = 5e9;  // resync rate bound
     rep->snapshot = std::make_unique<SnapshotStream>(
         sim_, kStateTransferBytesPerSec, /*await_acks=*/false);
@@ -88,13 +69,6 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
   replicas_[0]->is_primary = true;
   RegisterMetrics();
   fault_->RegisterMetrics(metrics_);
-  if (config_.enable_request_tracing) {
-    // Keep the default exposition unchanged when tracing is off.
-    request_tracer_.RegisterMetrics(metrics_);
-    breakdown_.RegisterMetrics(metrics_);
-    slo_monitor_.RegisterMetrics(metrics_);
-    flight_recorder_.RegisterMetrics(metrics_);
-  }
 
   std::shared_ptr<bool> alive = liveness_;
   sim_.ScheduleAt(sim_.Now() + kHeartbeatInterval, [this, alive] {
@@ -329,13 +303,13 @@ void ReplicationGroup::HandleClientRequest(
     return;
   }
 
-  if (request_tracer_.enabled()) {
+  if (request_tracer().enabled()) {
     // The handles were registered by the replicated client under this
     // sequence; the lookup is non-consuming, so redirects and retransmits
     // resolve to the same trace on whichever replica they land.
     for (size_t i = 0; i < ops.size(); i++) {
       ops[i].trace =
-          request_tracer_.LookupOp(sequence, static_cast<uint32_t>(i));
+          request_tracer().LookupOp(sequence, static_cast<uint32_t>(i));
     }
   }
 
@@ -381,7 +355,7 @@ void ReplicationGroup::HandleClientRequest(
       return;
     }
     for (const KvOperation& op : ops) {
-      request_tracer_.Point(op.trace, TracePoint::kServerReceive);
+      request_tracer().Point(op.trace, TracePoint::kServerReceive);
     }
     if (request.has_route && load_listener_) {
       load_listener_(request.partition, static_cast<uint32_t>(ops.size()),
@@ -402,7 +376,7 @@ void ReplicationGroup::HandleClientRequest(
     return;
   }
   for (const KvOperation& op : ops) {
-    request_tracer_.Point(op.trace, TracePoint::kServerReceive);
+    request_tracer().Point(op.trace, TracePoint::kServerReceive);
   }
   if (request.has_route && load_listener_) {
     load_listener_(request.partition, static_cast<uint32_t>(ops.size()), false);
@@ -568,12 +542,12 @@ void ReplicationGroup::RespondWrite(
     commit_wait_ns_.Add(
         static_cast<uint64_t>((sim_.Now() - appended_at) / kNanosecond));
   }
-  if (request_tracer_.enabled()) {
+  if (request_tracer().enabled()) {
     for (size_t i = 0; i < results.size(); i++) {
       const uint64_t handle =
-          request_tracer_.LookupOp(sequence, static_cast<uint32_t>(i));
-      request_tracer_.Point(handle, TracePoint::kReplCommit);
-      request_tracer_.Point(handle, TracePoint::kResponseSent);
+          request_tracer().LookupOp(sequence, static_cast<uint32_t>(i));
+      request_tracer().Point(handle, TracePoint::kReplCommit);
+      request_tracer().Point(handle, TracePoint::kResponseSent);
     }
   }
   GroupResponse resp;
@@ -590,7 +564,7 @@ void ReplicationGroup::RespondWrite(
 void ReplicationGroup::AppendEffectiveWrite(Replica& rep, uint64_t sequence,
                                             uint16_t slot, const KvOperation& op,
                                             const KvResultMessage& result) {
-  request_tracer_.Point(op.trace, TracePoint::kReplAppend);
+  request_tracer().Point(op.trace, TracePoint::kReplAppend);
   LogEntry entry;
   entry.epoch = rep.current_epoch;
   entry.client_sequence = sequence;
@@ -945,13 +919,13 @@ void ReplicationGroup::SendWindow(Replica& primary, uint32_t peer) {
   stats_.appends_sent++;
   stats_.entries_shipped += msg.entries.size();
   std::vector<uint64_t> traces;
-  if (request_tracer_.enabled()) {
+  if (request_tracer().enabled()) {
     for (const LogEntry& entry : msg.entries) {
       if (entry.client_sequence == 0) {
         continue;  // promotion barrier
       }
       const uint64_t handle =
-          request_tracer_.LookupOp(entry.client_sequence, entry.slot);
+          request_tracer().LookupOp(entry.client_sequence, entry.slot);
       if (handle != 0) {
         traces.push_back(handle);
       }
@@ -1208,7 +1182,7 @@ void ReplicationGroup::StartElection(Replica& rep) {
   rep.current_epoch = ballot;
   rep.election_epoch = ballot;
   stats_.elections++;
-  flight_recorder_.Trigger(
+  flight_recorder().Trigger(
       FlightTrigger::kFailover,
       "replica " + std::to_string(rep.id) + " campaigns with ballot " +
           std::to_string(ballot));

@@ -110,10 +110,11 @@ struct ReplicationConfig {
   // state transfer.
   uint64_t max_log_entries = 1u << 16;
 
-  // Group-level request tracing: one RequestTracer/FlightRecorder pair shared
-  // by every replica (the per-server ones are bypassed), so a write's trace
-  // follows it from the client through the primary's pipeline, the log, the
-  // replication links, and the quorum wait. Off by default.
+  // Group-level request tracing: one telemetry stack shared by every
+  // replica (replicas hold none of their own, and `server`'s tracing
+  // settings are not read), so a write's trace follows it from the client
+  // through the primary's pipeline, the log, the replication links, and the
+  // quorum wait. Off by default.
   bool enable_request_tracing = false;
   SloConfig slo;
   FlightRecorderConfig flight;
@@ -246,10 +247,10 @@ class ReplicationGroup {
   Simulator& simulator() { return sim_; }
   const MetricRegistry& metrics() const { return metrics_; }
   FaultInjector& faults() { return *fault_; }
-  RequestTracer& request_tracer() { return request_tracer_; }
-  FlightRecorder& flight_recorder() { return flight_recorder_; }
-  LatencyBreakdown& breakdown() { return breakdown_; }
-  SloMonitor& slo_monitor() { return slo_monitor_; }
+  RequestTracer& request_tracer() { return telemetry_.request_tracer(); }
+  FlightRecorder& flight_recorder() { return telemetry_.flight_recorder(); }
+  LatencyBreakdown& breakdown() { return telemetry_.breakdown(); }
+  SloMonitor& slo_monitor() { return telemetry_.slo_monitor(); }
   const ReplicationConfig& config() const { return config_; }
 
   struct GroupStats {
@@ -497,10 +498,11 @@ class ReplicationGroup {
   std::unique_ptr<Simulator> owned_sim_;
   Simulator& sim_;
   MetricRegistry metrics_;
-  RequestTracer request_tracer_{sim_};
-  LatencyBreakdown breakdown_;
-  SloMonitor slo_monitor_{sim_};
-  FlightRecorder flight_recorder_{sim_};
+  // One stack for the whole group: a write's trace spans the primary's
+  // pipeline, the replication links, and the quorum wait, and must survive a
+  // mid-flight failover to another replica's server.
+  Telemetry telemetry_{sim_, metrics_, config_.enable_request_tracing,
+                       config_.slo, config_.flight};
   std::unique_ptr<FaultInjector> fault_;
   ShardGate shard_gate_;
   LoadListener load_listener_;

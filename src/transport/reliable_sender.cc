@@ -35,14 +35,13 @@ SimTime ReliableSender::BackoffDelay(const PacketPtr& packet) {
 void ReliableSender::Transmit(const PacketPtr& packet) {
   packet->attempts++;
   packet->attempts_at_target++;
-  RequestTracer& rt = tracer_();
-  if (!packet->traces.empty() && rt.enabled()) {
+  if (!packet->traces.empty() && tracer_.enabled()) {
     for (const uint64_t handle : packet->traces) {
-      rt.CountAttempt(handle);
+      tracer_.CountAttempt(handle);
       if (packet->attempts > 1) {
         // Timeout-driven retransmission marker (detail: attempt number).
-        rt.Span(handle, SpanKind::kRetransmit, sim_.Now(), sim_.Now(),
-                packet->attempts - 1);
+        tracer_.Span(handle, SpanKind::kRetransmit, sim_.Now(), sim_.Now(),
+                     packet->attempts - 1);
       }
     }
   }

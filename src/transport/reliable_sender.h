@@ -117,12 +117,12 @@ class ReliableSender {
   using Hook = std::function<void(const PacketPtr&)>;
 
   ReliableSender(Simulator& sim, RetryPolicy policy, Stats* stats,
-                 std::function<RequestTracer&()> tracer, Hook wire,
+                 RequestTracer& tracer, Hook wire,
                  Hook on_fail)
       : sim_(sim),
         policy_(policy),
         stats_(stats),
-        tracer_(std::move(tracer)),
+        tracer_(tracer),
         wire_(std::move(wire)),
         on_fail_(std::move(on_fail)),
         retry_tokens_(policy_.retry_budget) {
@@ -167,7 +167,7 @@ class ReliableSender {
   Simulator& sim_;
   RetryPolicy policy_;
   Stats* stats_;
-  std::function<RequestTracer&()> tracer_;
+  RequestTracer& tracer_;
   Hook wire_;
   Hook on_fail_;
   Rng jitter_rng_;

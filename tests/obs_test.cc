@@ -1,7 +1,7 @@
 // Tests for src/obs: the JSON writer, the metric registry and its three
-// exposition formats, the simulated-time sampler, and the flight recorder's
-// Chrome trace rendering of request traces — plus an end-to-end YCSB-B run
-// through KvDirectServer exporting all of them.
+// exposition formats, and the flight recorder's Chrome trace rendering of
+// request traces — plus an end-to-end YCSB-B run through KvDirectServer
+// exporting all of them.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,7 +13,7 @@
 #include "src/obs/json_writer.h"
 #include "src/obs/metric_registry.h"
 #include "src/obs/request_trace.h"
-#include "src/obs/time_series_sampler.h"
+#include "src/obs/telemetry.h"
 #include "src/sim/simulator.h"
 #include "src/workload/ycsb.h"
 
@@ -145,55 +145,13 @@ TEST(MetricRegistryTest, PlainTextIsSorted) {
             "z_total 1\n");
 }
 
-TEST(TimeSeriesSamplerTest, SamplesOnSimulatedCadence) {
-  Simulator sim;
-  MetricRegistry registry;
-  uint64_t events = 0;
-  registry.RegisterCounter("events_total", "events", {}, &events);
-
-  TimeSeriesSampler sampler(sim, registry,
-                            {.interval = 10 * kMicrosecond, .max_samples = 1000});
-  sampler.Start();
-  ASSERT_EQ(sampler.series_names(), std::vector<std::string>{"events_total"});
-
-  // The workload bumps the counter at 5, 15, 25 us; the sampler reads at
-  // 10, 20, 30, ... us of simulated time.
-  for (int i = 0; i < 3; i++) {
-    sim.ScheduleAt((5 + 10 * i) * kMicrosecond, [&] { events++; });
-  }
-  sim.RunUntil(35 * kMicrosecond);
-  sampler.Stop();
-  sim.RunUntilIdle();  // drains the one already-scheduled no-op tick
-
-  ASSERT_EQ(sampler.samples().size(), 3u);
-  for (size_t i = 0; i < 3; i++) {
-    EXPECT_EQ(sampler.samples()[i].when, (10 + 10 * i) * kMicrosecond);
-    EXPECT_EQ(sampler.samples()[i].values[0], static_cast<double>(i + 1));
-  }
-
-  const std::string json = sampler.ToJson();
-  EXPECT_NE(json.find("\"interval_ps\":10000000"), std::string::npos);
-  EXPECT_NE(json.find("\"events_total\":[[10000000,1]"), std::string::npos);
-}
-
-TEST(TimeSeriesSamplerTest, MaxSamplesLeavesQueueDrainable) {
-  Simulator sim;
-  MetricRegistry registry;
-  registry.RegisterGauge("g", "g", {}, [] { return 1.0; });
-  TimeSeriesSampler sampler(sim, registry, {.interval = kMicrosecond, .max_samples = 5});
-  sampler.Start();
-  sim.RunUntilIdle();  // terminates: the sampler stops re-arming at the cap
-  EXPECT_EQ(sampler.samples().size(), 5u);
-}
-
 // The Chrome/Perfetto renderer over a hand-built trace: one named track per
 // record kind, microsecond timestamps with sub-microsecond fractions.
 TEST(ChromeTraceTest, RendersStagesAndSpansAsNamedTracks) {
   Simulator sim;
-  RequestTracer tracer(sim);
-  FlightRecorder recorder(sim);
-  recorder.set_enabled(true);
-  recorder.SetRequestTracer(&tracer);
+  MetricRegistry registry;
+  Telemetry telemetry(sim, registry, /*enabled=*/true, {}, {});
+  FlightRecorder& recorder = telemetry.flight_recorder();
 
   OpTrace trace;
   trace.id = 7;
@@ -249,10 +207,8 @@ ServerConfig TracedYcsbConfig() {
   return config;
 }
 
-// Loads a YCSB-B corpus, then runs kYcsbOps ops through a framed client
-// (sampling `sampler`, when given, over the run).
-std::vector<KvResultMessage> RunYcsbB(KvDirectServer& server,
-                                      TimeSeriesSampler* sampler = nullptr) {
+// Loads a YCSB-B corpus, then runs kYcsbOps ops through a framed client.
+std::vector<KvResultMessage> RunYcsbB(KvDirectServer& server) {
   WorkloadConfig wl;
   wl.num_keys = 2000;
   wl.value_bytes = 32;
@@ -263,18 +219,11 @@ std::vector<KvResultMessage> RunYcsbB(KvDirectServer& server,
     const KvOperation op = workload.LoadOpFor(id);
     EXPECT_TRUE(server.Load(op.key, op.value).ok());
   }
-  if (sampler != nullptr) {
-    sampler->Start();
-  }
   Client client(server);
   for (uint64_t i = 0; i < kYcsbOps; i++) {
     client.Enqueue(workload.NextOp());
   }
-  std::vector<KvResultMessage> results = client.Flush();
-  if (sampler != nullptr) {
-    sampler->Stop();
-  }
-  return results;
+  return client.Flush();
 }
 
 // Acceptance: a YCSB-B run through the full server exports per-subsystem
@@ -282,10 +231,8 @@ std::vector<KvResultMessage> RunYcsbB(KvDirectServer& server,
 // rendered from its request traces.
 TEST(ObservabilityIntegrationTest, YcsbBExportsMetricsAndTrace) {
   KvDirectServer server(TracedYcsbConfig());
-  TimeSeriesSampler sampler(server.simulator(), server.metrics(),
-                            {.interval = 5 * kMicrosecond});
   constexpr uint64_t kOps = kYcsbOps;
-  ASSERT_EQ(RunYcsbB(server, &sampler).size(), kOps);
+  ASSERT_EQ(RunYcsbB(server).size(), kOps);
 
   const MetricRegistry& metrics = server.metrics();
   // Per-subsystem counters moved: fast-path ops, DMA bytes, dispatcher
@@ -315,10 +262,6 @@ TEST(ObservabilityIntegrationTest, YcsbBExportsMetricsAndTrace) {
   const std::string json = metrics.ToJson();
   EXPECT_EQ(json.rfind("{\"metrics\":[", 0), 0u);
   EXPECT_NE(json.find("\"name\":\"kvd_store_kvs\""), std::string::npos);
-
-  // The sampler saw the run on its simulated-time cadence.
-  EXPECT_GT(sampler.samples().size(), 0u);
-  EXPECT_NE(sampler.ToJson().find("kvd_proc_retired_total"), std::string::npos);
 
   // The Chrome trace covers every op and has slices on the PCIe (dma_tlp),
   // dispatcher (mem_access), station, processor-stage and network tracks

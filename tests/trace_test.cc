@@ -323,6 +323,20 @@ TEST(ReplicatedTraceTest, WriteTracesCarryReplicationStages) {
       group.metrics().HistogramValue("kvd_repl_commit_wait_ns").has_value());
 }
 
+// Replicas hold no telemetry stack of their own: each replica's accessors
+// resolve to the group's one stack, so a breakdown or an SLO read through a
+// replica sees the group's traces.
+TEST(ReplicatedTraceTest, ReplicasShareTheGroupTelemetryStack) {
+  ReplicationGroup group(TracedGroupConfig());
+  for (uint32_t i = 0; i < group.num_replicas(); i++) {
+    KvDirectServer& replica = group.replica(i);
+    EXPECT_EQ(&replica.request_tracer(), &group.request_tracer()) << i;
+    EXPECT_EQ(&replica.flight_recorder(), &group.flight_recorder()) << i;
+    EXPECT_EQ(&replica.breakdown(), &group.breakdown()) << i;
+    EXPECT_EQ(&replica.slo_monitor(), &group.slo_monitor()) << i;
+  }
+}
+
 // --- flight-recorder triggers ---
 
 TEST(FlightRecorderTest, EccDemotionTriggersExactlyOneDump) {
@@ -432,7 +446,7 @@ TEST(FlightRecorderTest, PrimaryCrashTriggersExactlyOneFailoverDump) {
       EXPECT_FALSE(parsed.traces.empty());
     }
   }
-  // once_per_trigger: even with multiple election rounds, one dump.
+  // Each trigger kind fires once: even with multiple election rounds, one dump.
   EXPECT_EQ(failover_dumps, 1u);
 }
 
@@ -569,7 +583,7 @@ TEST(FlightRecorderTest, SloBreachTriggersDump) {
       slo_dumps++;
     }
   }
-  EXPECT_EQ(slo_dumps, 1u);  // once_per_trigger
+  EXPECT_EQ(slo_dumps, 1u);  // each trigger kind fires once
 }
 
 // --- dump JSON negative tests ---
