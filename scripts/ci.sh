@@ -6,8 +6,8 @@
 #      only copy of the framing/replay-dedup logic, request traces must be
 #      the only tracing pipeline, the timed memory path must stay on
 #      InlineCallback, snapshot chunks must come from the one snapshot
-#      stream, and group responses must be decoded by the one group-client
-#      engine;
+#      stream, group responses must be decoded by the one group-client
+#      engine, and each owner must build one telemetry stack;
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -82,6 +82,20 @@ decoders=$(grep -rnE 'DecodeGroupResponse\(' src bench perfbench \
 if [[ -n "${decoders}" ]]; then
   echo "group response decoded outside the group-client engine:" >&2
   echo "${decoders}" >&2
+  exit 1
+fi
+
+echo "=== layering guard: one telemetry stack ==="
+# The request tracer, latency breakdown, SLO monitor and flight recorder are
+# built and wired once, by Telemetry (src/obs/telemetry.*, DESIGN.md §10);
+# a group's replicas take the group's stack at construction. API that
+# re-points a built stack or re-wires its consumers brings back the bypassed
+# per-replica copies.
+repointers=$(grep -rnE 'UseRequestTracer|UseFlightRecorder|active_flight_|active_request_tracer_|set_on_complete\(|set_on_breach\(|SetBreakdown\(|SetSloMonitor\(' \
+               src tests bench examples || true)
+if [[ -n "${repointers}" ]]; then
+  echo "telemetry re-pointing or re-wiring API found:" >&2
+  echo "${repointers}" >&2
   exit 1
 fi
 
