@@ -8,7 +8,7 @@
 namespace kvd {
 
 void FlightRecorder::OnTraceComplete(const OpTrace& trace) {
-  if (!enabled_ || config_.ring_capacity == 0) {
+  if (!tracer_.enabled() || config_.ring_capacity == 0) {
     return;
   }
   if (ring_.size() >= config_.ring_capacity) {
@@ -18,7 +18,7 @@ void FlightRecorder::OnTraceComplete(const OpTrace& trace) {
 }
 
 bool FlightRecorder::Trigger(FlightTrigger trigger, std::string_view detail) {
-  if (!enabled_) {
+  if (!tracer_.enabled()) {
     return false;
   }
   triggers_seen_++;

@@ -70,27 +70,21 @@ struct FlightRecorderConfig {
 
 class FlightRecorder {
  public:
-  // Dumps read the live traces from `tracer` and snapshot `registry`; both
-  // must outlive the recorder. Built and wired by Telemetry
-  // (src/obs/telemetry.h).
+  // Records only while `tracer` is enabled. Dumps read the live traces from
+  // `tracer` and snapshot `registry`; both must outlive the recorder. Built
+  // and wired by Telemetry (src/obs/telemetry.h).
   FlightRecorder(Simulator& sim, const FlightRecorderConfig& config,
-                 bool enabled, const RequestTracer& tracer,
-                 const MetricRegistry& registry)
-      : sim_(sim),
-        config_(config),
-        enabled_(enabled),
-        tracer_(tracer),
-        registry_(registry) {}
+                 const RequestTracer& tracer, const MetricRegistry& registry)
+      : sim_(sim), config_(config), tracer_(tracer), registry_(registry) {}
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   const FlightRecorderConfig& config() const { return config_; }
-  bool enabled() const { return enabled_; }
 
   // Ring feed: the tracer hands over every completed trace.
   void OnTraceComplete(const OpTrace& trace);
 
-  // Takes a dump unless the recorder is disabled or this trigger kind already
+  // Takes a dump unless tracing is off or this trigger kind already
   // fired. Each kind fires once per run, so a cascading failure produces one
   // dump per root cause instead of one per symptom, and a run holds at most
   // kNumFlightTriggers dumps. Returns whether a dump was taken.
@@ -104,9 +98,6 @@ class FlightRecorder {
   };
 
   const std::vector<Dump>& dumps() const { return dumps_; }
-  uint64_t triggers_seen() const { return triggers_seen_; }
-  uint64_t dumps_taken() const { return dumps_taken_; }
-  size_t ring_size() const { return ring_.size(); }
 
   // Chrome trace-event JSON ({"traceEvents":[...],"displayTimeUnit":"ns"},
   // loadable in chrome://tracing or ui.perfetto.dev) of the completed ring
@@ -123,7 +114,6 @@ class FlightRecorder {
 
   Simulator& sim_;
   const FlightRecorderConfig config_;
-  const bool enabled_;
   const RequestTracer& tracer_;
   const MetricRegistry& registry_;
   std::deque<OpTrace> ring_;

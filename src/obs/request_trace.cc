@@ -65,18 +65,6 @@ void LatencyBreakdown::Record(const OpTrace& trace) {
   }
 }
 
-void LatencyBreakdown::Reset() {
-  for (auto& per_opcode : stages_) {
-    for (LatencyHistogram& hist : per_opcode) {
-      hist.Reset();
-    }
-  }
-  for (LatencyHistogram& hist : e2e_) {
-    hist.Reset();
-  }
-  recorded_ = 0;
-}
-
 const LatencyHistogram& LatencyBreakdown::Stage(Opcode opcode,
                                                 TracePoint point) const {
   return stages_[static_cast<size_t>(opcode)][static_cast<size_t>(point)];

@@ -209,7 +209,6 @@ class LatencyBreakdown {
   LatencyBreakdown& operator=(const LatencyBreakdown&) = delete;
 
   void Record(const OpTrace& trace);
-  void Reset();
 
   // Histogram of the stage ending at `point` for `opcode` (ns).
   const LatencyHistogram& Stage(Opcode opcode, TracePoint point) const;
@@ -253,9 +252,7 @@ class SloMonitor {
 
   void Record(uint64_t e2e_ns);
 
-  uint64_t windows_evaluated() const { return windows_evaluated_; }
   uint64_t p99_breaches() const { return p99_breaches_; }
-  double last_p99_ns() const { return last_p99_ns_; }
 
   // kvd_slo_* counters and the last-window gauge.
   void RegisterMetrics(MetricRegistry& registry);

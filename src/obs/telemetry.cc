@@ -4,7 +4,7 @@ namespace kvd {
 
 Telemetry::Telemetry(Simulator& sim, MetricRegistry& metrics, bool enabled,
                      const SloConfig& slo, const FlightRecorderConfig& flight)
-    : recorder_(sim, flight, enabled, tracer_, metrics),
+    : recorder_(sim, flight, tracer_, metrics),
       slo_(sim, slo, recorder_),
       tracer_(sim, enabled, breakdown_, slo_, recorder_) {
   if (enabled) {
