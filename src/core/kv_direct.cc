@@ -100,19 +100,18 @@ void KvDirectServer::DeliverPacket(std::vector<uint8_t> payload,
   state.traces.clear();
   state.remaining = ops.size();
   state.respond = std::move(respond);
-  state.tracer = nullptr;
-  if (traced_sequence != 0 && runtime_.request_tracer().enabled()) {
+  RequestTracer& tracer = runtime_.request_tracer();
+  if (traced_sequence != 0 && tracer.enabled()) {
     // Resolve each op's trace handle from the client-registered packet map
     // and stamp kServerReceive (first delivery wins, so retransmissions and
     // injected duplicates cannot move it).
-    state.tracer = &runtime_.request_tracer();
     state.traces.resize(ops.size());
     for (size_t i = 0; i < ops.size(); i++) {
-      const uint64_t handle = state.tracer->LookupOp(traced_sequence, i);
+      const uint64_t handle = tracer.LookupOp(traced_sequence, i);
       state.traces[i] = handle;
       ops[i].trace = handle;
       if (handle != 0) {
-        state.tracer->Point(handle, TracePoint::kServerReceive);
+        tracer.Point(handle, TracePoint::kServerReceive);
       }
     }
   }
@@ -132,11 +131,9 @@ void KvDirectServer::OnPacketOpDone(uint32_t packet, uint32_t op,
   if (--state.remaining != 0) {
     return;
   }
-  if (state.tracer != nullptr) {
-    for (const uint64_t handle : state.traces) {
-      if (handle != 0) {
-        state.tracer->Point(handle, TracePoint::kResponseSent);
-      }
+  for (const uint64_t handle : state.traces) {
+    if (handle != 0) {
+      runtime_.request_tracer().Point(handle, TracePoint::kResponseSent);
     }
   }
   std::vector<uint8_t> response = EncodeResults(state.results);

@@ -110,7 +110,6 @@ class KvDirectServer {
     std::vector<uint64_t> traces;  // per-op trace handles; empty if untraced
     size_t remaining = 0;
     std::function<void(std::vector<uint8_t>)> respond;
-    RequestTracer* tracer = nullptr;
   };
   void OnPacketOpDone(uint32_t packet, uint32_t op, KvResultMessage result);
 
