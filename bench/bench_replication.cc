@@ -267,7 +267,7 @@ void AddResyncRow(kvd::bench::JsonReport& report, const ResyncPoint& r) {
 // metric, recorded with tracing off too.
 void TracedBreakdown(kvd::bench::JsonReport& report) {
   ReplicationConfig config = BaseConfig(3);
-  config.enable_request_tracing = true;
+  config.server.enable_request_tracing = true;
   ReplicationGroup group(config);
   ReplicatedClient client(group);
   KvEndpoint& ep = client;  // the driver sees only the endpoint interface

@@ -43,9 +43,6 @@ class HostDaemon {
   // Returns freed slabs of class `cls` from the NIC to the host pool.
   void PushBatch(uint8_t cls, std::span<const uint64_t> addresses);
 
-  // Forces a full merge pass across all classes (maintenance entry point).
-  void MergeAll();
-
   uint64_t StackDepth(uint8_t cls) const { return stacks_[cls].size(); }
   uint64_t FreeBytes() const;
 

@@ -62,7 +62,8 @@ constexpr OpClass ClassifyOpcode(Opcode opcode) {
 }
 
 struct AdmissionConfig {
-  // kBusy bounce threshold (the legacy knob). 0 = unbounded.
+  // kBusy bounce threshold: a submission that finds this many ops already
+  // queued bounces. 0 = unbounded.
   uint32_t max_backlog = 0;
   // kOverloaded fast-reject ceiling; must be >= max_backlog to mean anything.
   // 0 = disabled.

@@ -1,13 +1,22 @@
 #include "src/core/kv_direct.h"
 
-#include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "src/common/assert.h"
 
 namespace kvd {
 namespace {
+
+// Frame budget for batched calls; the frame header comes out of it, so a
+// full batch still fits one wire MTU instead of spilling into a second
+// segment.
+constexpr uint32_t kPacketBytes = 4096;
+constexpr uint32_t kOpsBudget =
+    kPacketBytes - static_cast<uint32_t>(kFrameHeaderBytes);
+// Op-level kBusy retry: the wait doubles per round; the still-busy ops time
+// out after the last round.
+constexpr SimTime kBusyBackoff = 10 * kMicrosecond;
+constexpr uint32_t kMaxBusyRetries = 16;
 
 Status ToStatus(ResultCode code) {
   switch (code) {
@@ -185,12 +194,10 @@ Client::Client(KvDirectServer& server, Options options)
               .backoff_shift_cap = 20,
               .attempts_per_target = 0,
               .num_targets = 1,
-              .jitter = options_.retry.jitter,
               // The sequence base is unique per client on a server, so each
               // client gets its own deterministic jitter stream.
               .jitter_seed = next_sequence_,
-              .retry_budget = options_.retry.retry_budget,
-              .retry_refill_per_success = options_.retry.retry_refill_per_success},
+              .retry_budget = options_.retry.retry_budget},
           &stats_, server_.request_tracer(),
           [this](const ReliableSender::PacketPtr& packet) { Wire(packet); },
           [this](const ReliableSender::PacketPtr& packet) { OnFail(packet); }) {}
@@ -312,16 +319,6 @@ size_t Client::Enqueue(KvOperation op) {
   return pending_.size() - 1;
 }
 
-std::vector<KvResultMessage> Client::Flush() {
-  std::vector<KvOperation> ops = std::move(pending_);
-  pending_.clear();
-  if (ops.empty()) {
-    return {};
-  }
-  return options_.retry.enabled ? FlushReliable(std::move(ops))
-                                : FlushUnreliable(std::move(ops));
-}
-
 // Per-flush state. Lives in a shared_ptr because injected duplicates can
 // deliver a response *after* the flush loop has already drained — such late
 // arrivals must find live state, not a dead stack frame.
@@ -439,15 +436,9 @@ void Client::OnResponse(const std::shared_ptr<PacketCtx>& ctx,
 void Client::SendBatch(const std::vector<KvOperation>& ops,
                        const std::vector<size_t>& indices,
                        const std::shared_ptr<FlushState>& flush) {
-  // The frame header rides inside the packet budget, so a full batch still
-  // fits one wire MTU instead of spilling into a second segment.
-  const uint32_t budget =
-      options_.batch_payload_bytes > kFrameHeaderBytes
-          ? options_.batch_payload_bytes - static_cast<uint32_t>(kFrameHeaderBytes)
-          : options_.batch_payload_bytes;
   size_t next = 0;
   while (next < indices.size()) {
-    PacketBuilder builder(budget, options_.enable_compression);
+    PacketBuilder builder(kOpsBudget, /*enable_compression=*/true);
     const size_t first = next;
     while (next < indices.size() && next - first < options_.max_ops_per_packet &&
            builder.Add(ops[indices[next]])) {
@@ -490,22 +481,16 @@ void Client::SendBatch(const std::vector<KvOperation>& ops,
   }
 }
 
-std::vector<KvResultMessage> Client::FlushReliable(std::vector<KvOperation> ops) {
+std::vector<KvResultMessage> Client::Flush() {
+  std::vector<KvOperation> ops = std::move(pending_);
+  pending_.clear();
+  if (ops.empty()) {
+    return {};
+  }
   Simulator& sim = server_.simulator();
   auto flush = std::make_shared<FlushState>();
   flush->results.resize(ops.size());
   flush->traces.resize(ops.size(), 0);
-
-  if (options_.retry.op_budget != 0) {
-    // Stamp each op's absolute deadline from the client budget; a caller who
-    // already set one keeps the tighter of its own choice.
-    for (KvOperation& op : ops) {
-      const SimTime budget_deadline = sim.Now() + options_.retry.op_budget;
-      if (op.deadline == 0 || op.deadline > budget_deadline) {
-        op.deadline = budget_deadline;
-      }
-    }
-  }
 
   std::vector<size_t> indices(ops.size());
   for (size_t i = 0; i < ops.size(); i++) {
@@ -540,7 +525,7 @@ std::vector<KvResultMessage> Client::FlushReliable(std::vector<KvOperation> ops)
     if (busy.empty()) {
       break;
     }
-    if (busy_round >= options_.retry.max_busy_retries) {
+    if (busy_round >= kMaxBusyRetries) {
       // Budget exhausted: the still-busy operations time out instead of
       // retrying forever (or killing the process).
       KvResultMessage timed_out;
@@ -554,8 +539,7 @@ std::vector<KvResultMessage> Client::FlushReliable(std::vector<KvOperation> ops)
       }
       break;
     }
-    const SimTime backoff = options_.retry.busy_backoff
-                            << std::min(busy_round, uint32_t{20});
+    const SimTime backoff = kBusyBackoff << busy_round;
     busy_round++;
     stats_.busy_retries += busy.size();
     const SimTime backoff_start = sim.Now();
@@ -570,67 +554,6 @@ std::vector<KvResultMessage> Client::FlushReliable(std::vector<KvOperation> ops)
     indices = std::move(busy);
   }
   return std::move(flush->results);
-}
-
-std::vector<KvResultMessage> Client::FlushUnreliable(std::vector<KvOperation> ops) {
-  std::vector<KvResultMessage> results(ops.size());
-  size_t packets_outstanding = 0;
-
-  Simulator& sim = server_.simulator();
-  NetworkModel& network = server_.network();
-
-  // Split the operation stream into packets under the payload budget; each
-  // packet independently traverses client -> server -> client.
-  size_t next_op = 0;
-  size_t result_base = 0;
-  while (next_op < ops.size()) {
-    PacketBuilder builder(options_.batch_payload_bytes, options_.enable_compression);
-    const size_t first = next_op;
-    while (next_op < ops.size() &&
-           next_op - first < options_.max_ops_per_packet &&
-           builder.Add(ops[next_op])) {
-      next_op++;
-    }
-    KVD_CHECK_MSG(next_op > first, "operation exceeds packet payload budget");
-    const size_t count = next_op - first;
-    std::vector<uint8_t> payload = builder.Finish();
-    stats_.packets_sent++;
-    packets_outstanding++;
-
-    const size_t base = result_base;
-    result_base += count;
-    // The payload size must be read before the move below captures it (the
-    // evaluation order of arguments vs. captures is unspecified).
-    const auto payload_size = static_cast<uint32_t>(payload.size());
-    network.SendToServer(
-        payload_size,
-        [this, payload = std::move(payload), base, count, &results, &network,
-         &packets_outstanding]() mutable {
-          server_.DeliverPacket(
-              std::move(payload),
-              [base, count, &results, &network,
-               &packets_outstanding](std::vector<uint8_t> response) {
-                const auto response_size = static_cast<uint32_t>(response.size());
-                network.SendToClient(
-                    response_size,
-                    [base, count, response = std::move(response), &results,
-                     &packets_outstanding] {
-                      Result<std::vector<KvResultMessage>> decoded =
-                          DecodeResults(response);
-                      KVD_CHECK(decoded.ok());
-                      KVD_CHECK(decoded->size() == count);
-                      for (size_t i = 0; i < count; i++) {
-                        results[base + i] = std::move((*decoded)[i]);
-                      }
-                      packets_outstanding--;
-                    });
-              });
-        });
-  }
-  while (packets_outstanding > 0) {
-    KVD_CHECK_MSG(sim.Step(), "simulation idle with packets outstanding");
-  }
-  return results;
 }
 
 bool Client::SubmitPacket(std::vector<uint8_t> ops_payload,

@@ -125,32 +125,19 @@ class KvDirectServer {
 class Client : public KvEndpoint {
  public:
   // End-to-end reliability: sequence-numbered, checksummed frames with
-  // per-packet timeouts, exponential-backoff retransmission (same sequence,
-  // deduplicated server-side), and op-level backoff/retry on kBusy.
+  // per-packet timeouts, jittered exponential-backoff retransmission (same
+  // sequence, deduplicated server-side), and op-level backoff/retry on kBusy
+  // (10 µs doubling per round, at most 16 rounds, then kTimedOut). An op's
+  // deadline is the one its caller stamped in KvOperation::deadline (0 =
+  // none); it rides the wire and every layer enforces it.
   struct RetryPolicy {
-    // Disable to send raw unframed packets and assume a lossless wire (the
-    // pre-reliability behavior; required when faults are enabled == false
-    // only for byte-exact wire accounting in benchmarks).
-    bool enabled = true;
     SimTime timeout = 500 * kMicrosecond;  // doubles per retransmission
     // Transmissions per frame; exhausting them fails the frame's operations
     // with kTimedOut instead of retrying forever.
     uint32_t max_attempts = 8;
-    SimTime busy_backoff = 10 * kMicrosecond;  // doubles per kBusy round
-    // kBusy re-send rounds; exhausting them yields kTimedOut for the
-    // still-busy operations.
-    uint32_t max_busy_retries = 16;
-    // Per-op latency budget: each flushed op gets deadline = now + op_budget
-    // (unless the caller stamped one), carried on the wire and enforced at
-    // every layer (sender retransmissions, server admission, dequeue,
-    // retirement). 0 = no deadlines (the pre-overload-control behavior).
-    SimTime op_budget = 0;
-    // Decorrelated jitter on retransmission backoff (see ReliableSender).
-    bool jitter = true;
     // Token-bucket retry budget shared across this client's packets;
     // 0 disables (see ReliableSender::RetryPolicy).
     uint32_t retry_budget = 0;
-    double retry_refill_per_success = 0.1;
   };
 
   // packets_sent: distinct frames (first transmissions); retransmits:
@@ -158,11 +145,10 @@ class Client : public KvEndpoint {
   // corrupt_responses / duplicate_responses: dropped response frames.
   using Stats = ReliableSender::Stats;
 
+  // Batched calls pack ops into 4096 B frames with flag-bit compression.
   struct Options {
-    uint32_t batch_payload_bytes = 4096;  // packet budget for batched calls
     // 1 disables client-side batching entirely (Figure 15/17 ablation).
     uint32_t max_ops_per_packet = 0xffffffff;
-    bool enable_compression = true;
     RetryPolicy retry;
   };
 
@@ -214,8 +200,6 @@ class Client : public KvEndpoint {
   struct PacketCtx;
 
   KvResultMessage Call(KvOperation op);
-  std::vector<KvResultMessage> FlushReliable(std::vector<KvOperation> ops);
-  std::vector<KvResultMessage> FlushUnreliable(std::vector<KvOperation> ops);
   // Packs ops[indices...] into framed packets and hands each to the sender.
   void SendBatch(const std::vector<KvOperation>& ops,
                  const std::vector<size_t>& indices,

@@ -25,15 +25,10 @@ ResultCode ToResultCode(const Status& status) {
   }
 }
 
-// Legacy merge: config.max_backlog predates AdmissionConfig and keeps
-// working as an alias for admission.max_backlog.
-AdmissionConfig MergedAdmission(const KvProcessorConfig& config) {
-  AdmissionConfig merged = config.admission;
-  if (merged.max_backlog == 0) {
-    merged.max_backlog = config.max_backlog;
-  }
-  return merged;
-}
+// Synthetic trace entry for one slab-pool sync DMA: entries_per_batch * 5 B.
+constexpr uint32_t kSlabSyncBytes = 160;
+// Window over which kBusy rejections count toward a burst trigger.
+constexpr SimTime kBusyBurstWindow = kMillisecond;
 
 }  // namespace
 
@@ -49,7 +44,7 @@ KvProcessor::KvProcessor(Simulator& sim, HashIndex& index,
       config_(config),
       station_(config.ooo),
       cycle_(static_cast<SimTime>(std::llround(1e12 / config.clock_hz))),
-      admission_(MergedAdmission(config)),
+      admission_(config.admission),
       slot_bucket_address_(config.ooo.station_slots, 0) {
   KVD_CHECK(config.clock_hz > 0);
 }
@@ -221,7 +216,7 @@ void KvProcessor::NoteBusyBurst() {
   if (flight_ == nullptr || config_.busy_burst_threshold == 0) {
     return;
   }
-  if (sim_.Now() >= busy_window_start_ + config_.busy_burst_window) {
+  if (sim_.Now() >= busy_window_start_ + kBusyBurstWindow) {
     busy_window_start_ = sim_.Now();
     busy_window_count_ = 0;
   }
@@ -316,12 +311,12 @@ void KvProcessor::Pump() {
       for (uint64_t n = slab_sync_stats_->sync_dma_reads - sync_reads_before; n > 0;
            n--) {
         inflight.trace.push_back(
-            {AccessKind::kRead, bucket_address, config_.slab_sync_bytes});
+            {AccessKind::kRead, bucket_address, kSlabSyncBytes});
       }
       for (uint64_t n = slab_sync_stats_->sync_dma_writes - sync_writes_before; n > 0;
            n--) {
         inflight.trace.push_back(
-            {AccessKind::kWrite, bucket_address, config_.slab_sync_bytes});
+            {AccessKind::kWrite, bucket_address, kSlabSyncBytes});
       }
     }
 

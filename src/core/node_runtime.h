@@ -57,8 +57,9 @@ struct ServerConfig {
   // client send, propagated through every layer, aggregated into the latency
   // breakdown, the SLO monitor, and the flight recorder (which also renders
   // Chrome/Perfetto traces). Off by default; when disabled every hook is one
-  // branch on a zero handle. Read only by a runtime that builds its own
-  // telemetry stack.
+  // branch on a zero handle. Read by a runtime that builds its own
+  // telemetry stack, and by a replication group for the one stack its
+  // replicas share (ReplicationConfig::server).
   bool enable_request_tracing = false;
   SloConfig slo;
   FlightRecorderConfig flight;

@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/replica/replica_wire.h"
@@ -125,9 +126,12 @@ class GroupClient : public KvEndpoint {
   // --- routing hooks ---
   virtual ReplicationGroup& Group(uint32_t id) = 0;
   // Packs one batch of ops; `slots[i]` is the flush-result slot of ops[i].
+  // A single group packs greedily, in order (Pack).
   virtual std::vector<PacketPtr> Build(std::vector<KvOperation> ops,
                                        const std::vector<size_t>& slots,
-                                       const std::shared_ptr<FlushState>& flush) = 0;
+                                       const std::shared_ptr<FlushState>& flush) {
+    return Pack(std::move(ops), slots, flush);
+  }
   // First transmission: picks the packet's group and target, and frames it.
   virtual void Route(Packet& packet) = 0;
   // Right after a packet's first transmission.

@@ -1,7 +1,6 @@
 #include "src/replica/replicated_client.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace kvd {
 namespace {
@@ -23,20 +22,6 @@ ReplicatedClient::ReplicatedClient(ReplicationGroup& group, Options options)
       group_(group),
       options_(options) {
   BelievedPrimary(0) = group.primary_id();
-}
-
-std::vector<GroupClient::PacketPtr> ReplicatedClient::Build(
-    std::vector<KvOperation> ops, const std::vector<size_t>& slots,
-    const std::shared_ptr<FlushState>& flush) {
-  if (options_.op_budget != 0) {
-    // Stamp the latency budget before packing: the deadline rides the wire
-    // and every layer (sender, admission, dequeue, retirement) enforces it.
-    const SimTime limit = group_.simulator().Now() + options_.op_budget;
-    for (KvOperation& op : ops) {
-      op.deadline = op.deadline == 0 ? limit : std::min(op.deadline, limit);
-    }
-  }
-  return Pack(std::move(ops), slots, flush);
 }
 
 void ReplicatedClient::Route(Packet& packet) {
@@ -89,9 +74,6 @@ void ReplicatedClient::OnAnswered(const Packet& packet, bool from_hedge) {
 }
 
 SimTime ReplicatedClient::HedgeDelay() const {
-  if (options_.hedge_delay != 0) {
-    return options_.hedge_delay;
-  }
   // Adaptive: hedge past the tail of observed read RTTs — p99 once the
   // distribution has a little mass, half the retransmission timeout before
   // that (hedging at the timeout itself would duplicate the retry timer).

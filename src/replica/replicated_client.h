@@ -38,20 +38,13 @@ class ReplicatedClient : public GroupClient {
     // After this many attempts at one replica, rotate to the next — the
     // current target may be crashed.
     uint32_t attempts_per_target = 3;
-    // Per-op latency budget: each flushed op is stamped deadline = now +
-    // op_budget (unless the caller stamped a tighter one) and the whole
-    // stack — sender retransmissions, admission, dequeue, retirement —
-    // enforces it. 0 = no deadlines.
-    SimTime op_budget = 0;
     // Deadline-aware hedged reads: if a read packet has no response after
     // the hedge delay, send the same frame (same sequence — replay dedup
     // makes the duplicate harmless) to the next replica and take whichever
     // response lands first. Writes are never hedged: they must go to the
     // primary. The delay adapts to the observed read RTT distribution (p99
-    // once 16 samples exist, timeout/2 before that), floored at 10 µs; set
-    // hedge_delay to pin it.
+    // once 16 samples exist, timeout/2 before that), floored at 10 µs.
     bool hedge_reads = false;
-    SimTime hedge_delay = 0;  // 0 = adaptive (p99 of read RTT)
   };
 
   explicit ReplicatedClient(ReplicationGroup& group)
@@ -60,9 +53,6 @@ class ReplicatedClient : public GroupClient {
 
  private:
   ReplicationGroup& Group(uint32_t /*id*/) override { return group_; }
-  std::vector<PacketPtr> Build(std::vector<KvOperation> ops,
-                               const std::vector<size_t>& slots,
-                               const std::shared_ptr<FlushState>& flush) override;
   void Route(Packet& packet) override;
   void OnSent(const PacketPtr& packet) override;
   void OnAnswered(const Packet& packet, bool from_hedge) override;

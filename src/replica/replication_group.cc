@@ -38,17 +38,13 @@ ReplicationGroup::ReplicationGroup(const ReplicationConfig& config,
   fault_ = std::make_unique<FaultInjector>(config_.faults);
   fault_->SetFlightRecorder(&flight_recorder());
 
-  ServerConfig server_config = config_.server;
-  // Backups apply log entries strictly in log order; a bounded backlog would
-  // bounce entries with kBusy and break that.
-  server_config.processor.max_backlog = 0;
   for (uint32_t id = 0; id < config_.num_replicas; id++) {
     auto rep = std::make_unique<Replica>();
     rep->id = id;
     // Every replica traces into the group's stack, so handles resolve
     // identically on any replica.
     rep->server =
-        std::make_unique<KvDirectServer>(server_config, &sim_, &telemetry_);
+        std::make_unique<KvDirectServer>(config_.server, &sim_, &telemetry_);
     rep->repl_net =
         std::make_unique<NetworkModel>(sim_, config_.replication_network);
     rep->repl_net->SetFaultInjector(fault_.get());

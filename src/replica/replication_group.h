@@ -75,9 +75,13 @@ struct ReplicationConfig {
   uint32_t quorum = 0;
 
   // Applied to every replica, including its client replay cache
-  // (replay_cache_entries, replay_retain_time). The group forces
-  // processor.max_backlog = 0: backups must apply log entries in log order,
-  // never bounce them.
+  // (replay_cache_entries, replay_retain_time). Log applies submit as
+  // control traffic, which admission never bounces, so backups apply in log
+  // order whatever processor.admission says. Its tracing settings
+  // (enable_request_tracing, slo, flight) configure the group's one
+  // telemetry stack, shared by every replica: a write's trace follows it
+  // from the client through the primary's pipeline, the log, the
+  // replication links, and the quorum wait.
   ServerConfig server;
   // One inbound replication link per replica, on the shared clock. The
   // group's own FaultInjector is attached, so scripted drops can lag a
@@ -109,15 +113,6 @@ struct ReplicationConfig {
   // Older entries are trimmed beyond this; a peer needing them falls back to
   // state transfer.
   uint64_t max_log_entries = 1u << 16;
-
-  // Group-level request tracing: one telemetry stack shared by every
-  // replica (replicas hold none of their own, and `server`'s tracing
-  // settings are not read), so a write's trace follows it from the client
-  // through the primary's pipeline, the log, the replication links, and the
-  // quorum wait. Off by default.
-  bool enable_request_tracing = false;
-  SloConfig slo;
-  FlightRecorderConfig flight;
 
   uint32_t EffectiveQuorum() const {
     return quorum != 0 ? quorum : num_replicas / 2 + 1;
@@ -501,8 +496,8 @@ class ReplicationGroup {
   // One stack for the whole group: a write's trace spans the primary's
   // pipeline, the replication links, and the quorum wait, and must survive a
   // mid-flight failover to another replica's server.
-  Telemetry telemetry_{sim_, metrics_, config_.enable_request_tracing,
-                       config_.slo, config_.flight};
+  Telemetry telemetry_{sim_, metrics_, config_.server.enable_request_tracing,
+                       config_.server.slo, config_.server.flight};
   std::unique_ptr<FaultInjector> fault_;
   ShardGate shard_gate_;
   LoadListener load_listener_;

@@ -4,24 +4,24 @@
 #include <utility>
 
 namespace kvd {
+namespace {
+
+// Retry-budget tokens a successful response refills.
+constexpr double kRetryRefillPerSuccess = 0.1;
+
+}  // namespace
 
 SimTime ReliableSender::BackoffDelay(const PacketPtr& packet) {
-  if (packet->attempts <= 1 || !policy_.jitter) {
-    // First attempt (always), or jitter disabled: the classic exponential
-    // schedule. Keeping attempt 1 exact means fault-free timing is identical
-    // whether jitter is on or off.
-    const SimTime delay = policy_.timeout
-                          << std::min(packet->attempts - 1,
-                                      policy_.backoff_shift_cap);
-    packet->backoff = delay;
-    return delay;
+  if (packet->attempts <= 1) {
+    // The first attempt's timer is exactly the timeout.
+    packet->backoff = policy_.timeout;
+    return policy_.timeout;
   }
   // Decorrelated jitter: uniform[timeout, 3 * previous_wait), capped. Grows
   // at least as fast as exponential backoff in expectation but desynchronizes
   // retransmissions across packets and senders.
   const SimTime cap = policy_.timeout << policy_.backoff_shift_cap;
-  const SimTime prev =
-      std::min(packet->backoff != 0 ? packet->backoff : policy_.timeout, cap);
+  const SimTime prev = std::min(packet->backoff, cap);
   const SimTime hi = prev > cap / 3 ? cap : prev * 3;
   SimTime delay = policy_.timeout;
   if (hi > policy_.timeout) {
@@ -46,9 +46,9 @@ void ReliableSender::Transmit(const PacketPtr& packet) {
     }
   }
   wire_(packet);
-  // Retransmission timer for this attempt; exponential backoff with optional
-  // decorrelated jitter. A timer that fires after completion (or after a
-  // newer attempt took over) is a no-op.
+  // Retransmission timer for this attempt, with decorrelated jitter. A timer
+  // that fires after completion (or after a newer attempt took over) is a
+  // no-op.
   const uint32_t seen = packet->attempts;
   const SimTime timeout = BackoffDelay(packet);
   sim_.Schedule(timeout, [this, packet, seen] {
@@ -122,7 +122,7 @@ std::optional<std::vector<uint8_t>> ReliableSender::AcceptResponse(
     // Successes refill the retry budget, so a healthy system keeps its full
     // allowance and a failing one converges to the refill rate.
     retry_tokens_ = std::min(static_cast<double>(policy_.retry_budget),
-                             retry_tokens_ + policy_.retry_refill_per_success);
+                             retry_tokens_ + kRetryRefillPerSuccess);
   }
   return std::move(frame->payload);
 }

@@ -15,7 +15,8 @@
 //              outliving an unreachable server is the point.)
 //
 // Retry semantics, shared by all owners:
-//   - each transmission arms a timer at timeout << min(attempts-1, shift_cap);
+//   - the first transmission arms a timer at timeout, each retransmission
+//     a decorrelated-jitter wait capped at timeout << shift_cap;
 //   - a timer firing after completion, or after a newer attempt superseded
 //     it (a bounce already re-sent), is a no-op;
 //   - a timer firing on the live attempt counts one retransmit and re-sends;
@@ -63,8 +64,8 @@ struct ReliablePacket {
   SimTime deadline = 0;
   // Why Fail() gave up; the owner copies this into its result slots.
   ResultCode fail_code = ResultCode::kTimedOut;
-  // Previous backoff delay, for decorrelated jitter (0 until the first
-  // retransmission timer is armed).
+  // Previous backoff delay, for decorrelated jitter (the timeout once the
+  // first transmission's timer is armed).
   SimTime backoff = 0;
   std::vector<uint64_t> traces;  // per-op trace handles, packet order
 
@@ -76,7 +77,7 @@ class ReliableSender {
   struct RetryPolicy {
     SimTime timeout = 500 * kMicrosecond;
     uint32_t max_attempts = 8;
-    // Backoff exponent cap: timeout << min(attempts-1, cap).
+    // Backoff cap: no wait exceeds timeout << cap.
     uint32_t backoff_shift_cap = 20;
     // Consecutive timeouts on one target before rotating to the next;
     // 0 disables rotation (single-target topologies).
@@ -86,17 +87,14 @@ class ReliableSender {
     // uniform[timeout, 3 * previous_wait), capped at timeout << shift_cap.
     // Deterministic backoff retransmits every client in lockstep — a
     // built-in thundering herd; jitter spreads the herd while staying
-    // same-seed reproducible through the per-sender RNG stream below. The
-    // first attempt's timer is always exactly `timeout`, so fault-free
-    // timing is identical with jitter on or off.
-    bool jitter = true;
+    // same-seed reproducible through the per-sender RNG stream seeded here.
+    // The first attempt's timer is always exactly `timeout`.
     uint64_t jitter_seed = 0;
     // Token-bucket retry budget: retransmissions spend one token, successful
-    // responses refill `retry_refill_per_success`. During a 100%-failure
-    // storm the sender converges to ~budget total retransmits instead of
-    // amplifying exponentially. 0 disables the budget.
+    // responses refill a tenth of one. During a 100%-failure storm the
+    // sender converges to ~budget total retransmits instead of amplifying
+    // exponentially. 0 disables the budget.
     uint32_t retry_budget = 0;
-    double retry_refill_per_success = 0.1;
   };
 
   // Owned by the client (stable address, readable through client.stats()).

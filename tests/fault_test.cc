@@ -448,7 +448,7 @@ TEST(ClientRetryTest, SurvivesLossyNetworkExactlyOnce) {
 TEST(DegradationTest, BusyBackpressureEndToEnd) {
   ServerConfig config = SmallServerConfig();
   config.processor.ooo.max_inflight = 8;
-  config.processor.max_backlog = 8;
+  config.processor.admission.max_backlog = 8;
   KvDirectServer server(config);
   constexpr uint64_t kKeys = 64;
   for (uint64_t k = 0; k < kKeys; k++) {

@@ -209,14 +209,14 @@ TEST(OverloadTest, PartitionedServerYieldsDeadlineExceededNotAHang) {
 
   Client::Options options;
   options.retry.timeout = 50 * kMicrosecond;
-  options.retry.max_attempts = 64;       // deadline must fire long before this
-  options.retry.op_budget = 300 * kMicrosecond;
+  options.retry.max_attempts = 64;  // deadline must fire long before this
   Client client(server, options);
   server.network().SetPartitioned(/*to_server=*/true, true);
 
   KvOperation op;
   op.opcode = Opcode::kGet;
   op.key = Key(1);
+  op.deadline = server.simulator().Now() + 300 * kMicrosecond;
   client.Enqueue(std::move(op));
   const SimTime before = server.simulator().Now();
   std::vector<KvResultMessage> results = client.Flush();
@@ -238,7 +238,6 @@ TEST(OverloadTest, PartitionedPrimaryWriteFailsByDeadlineNotAHang) {
 
   ReplicatedClient::Options options;
   options.timeout = 100 * kMicrosecond;
-  options.op_budget = 500 * kMicrosecond;
   ReplicatedClient client(group, options);
 
   // Partition the primary's client-facing network in both directions: writes
@@ -251,6 +250,7 @@ TEST(OverloadTest, PartitionedPrimaryWriteFailsByDeadlineNotAHang) {
   op.opcode = Opcode::kPut;
   op.key = Key(1);
   op.value = U64Value(42);
+  op.deadline = group.simulator().Now() + 500 * kMicrosecond;
   client.Enqueue(std::move(op));
   const SimTime before = group.simulator().Now();
   std::vector<KvResultMessage> results = client.Flush();
@@ -361,7 +361,6 @@ std::tuple<uint64_t, SimTime, uint64_t> LossyRun(uint64_t seed) {
   Client::Options options;
   options.max_ops_per_packet = 4;
   options.retry.timeout = 50 * kMicrosecond;
-  options.retry.jitter = true;
   Client client(server, options);
   uint64_t digest = 0;
   for (int round = 0; round < 8; round++) {
@@ -403,17 +402,9 @@ TEST(OverloadTest, HedgedReadCompletesDespiteUnresponsiveReplica) {
 
   ReplicatedClient::Options options;
   options.hedge_reads = true;
-  options.hedge_delay = 50 * kMicrosecond;  // pinned: deterministic firing
   options.timeout = 2 * kMillisecond;  // retransmission far behind the hedge
   ReplicatedClient client(group, options);
-
-  // Replica 1 stops answering reads: requests to it vanish on its inbound
-  // client link. Round-robin reads that land there complete only through the
-  // hedge copy sent to the next replica.
-  group.client_network(1).SetPartitioned(/*to_server=*/true, true);
-
-  const SimTime before = group.simulator().Now();
-  for (uint64_t k = 0; k < 8; k++) {
+  const auto read = [&](uint64_t k) {
     KvOperation op;
     op.opcode = Opcode::kGet;
     op.key = Key(k);
@@ -422,12 +413,42 @@ TEST(OverloadTest, HedgedReadCompletesDespiteUnresponsiveReplica) {
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].code, ResultCode::kOk);
     EXPECT_EQ(AsU64(results[0].value), 100 + k);
+  };
+
+  // Replica 1 stops answering reads: requests to it vanish on its inbound
+  // client link. Round-robin reads that land there complete only through the
+  // hedge copy sent to the next replica.
+  group.client_network(1).SetPartitioned(/*to_server=*/true, true);
+
+  // Fewer than 16 RTT samples: the hedge waits timeout/2 = 1 ms.
+  SimTime before = group.simulator().Now();
+  for (uint64_t k = 0; k < 8; k++) {
+    read(k);
   }
   EXPECT_GE(client.stats().hedged_sends, 2u);
   EXPECT_GE(client.stats().hedge_wins, 2u);
   // Every blocked read completed at hedge-delay cost, not retransmission
   // cost.
   EXPECT_LT(group.simulator().Now() - before, 8 * options.timeout);
+
+  // Healed, 400 answered reads bury the three 1 ms samples below the p99,
+  // so the delay drops to the p99 of the observed read RTT.
+  group.client_network(1).SetPartitioned(/*to_server=*/true, false);
+  for (uint64_t i = 0; i < 400; i++) {
+    read(i % 8);
+  }
+  const uint64_t hedged_before = client.stats().hedged_sends;
+  const uint64_t wins_before = client.stats().hedge_wins;
+  group.client_network(1).SetPartitioned(/*to_server=*/true, true);
+  before = group.simulator().Now();
+  for (uint64_t k = 0; k < 8; k++) {
+    read(k);
+  }
+  EXPECT_GE(client.stats().hedged_sends - hedged_before, 2u);
+  EXPECT_GE(client.stats().hedge_wins - wins_before, 2u);
+  // Hedging past the measured tail: all eight reads, blocked ones included,
+  // finish before a single timeout/2 hedge delay would have elapsed.
+  EXPECT_LT(group.simulator().Now() - before, options.timeout / 2);
 }
 
 // --- gray-failure quorum demotion ---

@@ -263,7 +263,7 @@ ReplicationConfig TracedGroupConfig() {
   config.num_replicas = 3;
   config.server.kvs_memory_bytes = 8 * kMiB;
   config.server.nic_dram.capacity_bytes = 1 * kMiB;
-  config.enable_request_tracing = true;
+  config.server.enable_request_tracing = true;
   return config;
 }
 
@@ -335,6 +335,43 @@ TEST(ReplicatedTraceTest, ReplicasShareTheGroupTelemetryStack) {
     EXPECT_EQ(&replica.breakdown(), &group.breakdown()) << i;
     EXPECT_EQ(&replica.slo_monitor(), &group.slo_monitor()) << i;
   }
+}
+
+// The group's stack is configured by `server`, the settings every replica
+// gets: its tracing switch, SLO target and flight-recorder ring all apply.
+TEST(ReplicatedTraceTest, ServerTracingConfigConfiguresTheGroupStack) {
+  ReplicationConfig config;
+  config.num_replicas = 3;
+  config.server.kvs_memory_bytes = 8 * kMiB;
+  config.server.nic_dram.capacity_bytes = 1 * kMiB;
+  config.server.enable_request_tracing = true;
+  config.server.slo.window = 100 * kMicrosecond;
+  config.server.slo.p99_target_ns = 1;  // everything breaches
+  config.server.flight.ring_capacity = 5;
+  ReplicationGroup group(config);
+  ASSERT_TRUE(group.request_tracer().enabled());
+  EXPECT_EQ(group.flight_recorder().config().ring_capacity, 5u);
+
+  ReplicatedClient client(group);
+  Simulator& sim = group.simulator();
+  for (int round = 0; round < 4; round++) {
+    for (uint64_t k = 0; k < 8; k++) {
+      KvOperation op;
+      op.opcode = Opcode::kPut;
+      op.key = Key(k);
+      op.value = U64Value(k);
+      client.Enqueue(std::move(op));
+    }
+    for (const auto& r : client.Flush()) {
+      ASSERT_EQ(r.code, ResultCode::kOk);
+    }
+    // Close the SLO window before the next round (a group's heartbeats
+    // never let the clock go idle).
+    sim.RunUntil(sim.Now() + 150 * kMicrosecond);
+  }
+  EXPECT_GT(group.breakdown().recorded(), 0u);
+  EXPECT_GT(group.breakdown().EndToEnd(Opcode::kPut).count(), 0u);
+  EXPECT_GT(group.slo_monitor().p99_breaches(), 0u);
 }
 
 // --- flight-recorder triggers ---
@@ -525,7 +562,7 @@ TEST(FlightRecorderTest, ChaosSoakDumpsAreBitIdentical) {
 
 TEST(FlightRecorderTest, BusyBurstTriggersOneDumpPerWindow) {
   ServerConfig config = TracedServerConfig();
-  config.processor.max_backlog = 2;
+  config.processor.admission.max_backlog = 2;
   config.processor.busy_burst_threshold = 8;
   // A tiny in-flight budget makes the station reject quickly, so the
   // admission backlog fills and submissions bounce with kBusy.
