@@ -7,7 +7,8 @@
 #      the only tracing pipeline, the timed memory path must stay on
 #      InlineCallback, snapshot chunks must come from the one snapshot
 #      stream, group responses must be decoded by the one group-client
-#      engine, and each owner must build one telemetry stack;
+#      engine, each owner must build one telemetry stack, and each
+#      request-path value must have one setting;
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -96,6 +97,20 @@ repointers=$(grep -rnE 'UseRequestTracer|UseFlightRecorder|active_flight_|active
 if [[ -n "${repointers}" ]]; then
   echo "telemetry re-pointing or re-wiring API found:" >&2
   echo "${repointers}" >&2
+  exit 1
+fi
+
+echo "=== layering guard: one setting per value ==="
+# Each value on the request path has one way to be set (DESIGN.md §8 and
+# §12): a deadline is op.deadline, the hedge delay is measured, the backlog
+# bound is processor.admission.max_backlog, and the client sends framed
+# packets only. A second knob or a second flush path for any of them must
+# not come back.
+knobs=$(grep -rnE 'FlushUnreliable|MergedAdmission|op_budget|hedge_delay|processor\.max_backlog' \
+          src tests bench examples || true)
+if [[ -n "${knobs}" ]]; then
+  echo "second setting for a request-path value found:" >&2
+  echo "${knobs}" >&2
   exit 1
 fi
 
