@@ -67,16 +67,56 @@ void ClusterClient::Reframe(Packet& packet) {
   // this client's acked writes reached *there*. Watermarks from a previous
   // owner are dropped — their indices mean nothing in the new group's log,
   // and the cutover installed the write's state on every destination replica.
-  uint64_t required = 0;
-  const KeyRouter router = map_.router();
-  for (const auto& [key, mark] : watermarks()) {
-    if (mark.group != packet.group ||
-        router.PartitionOf(key) != packet.partition) {
-      continue;
+  Frame(packet, RequiredIndex(packet.group, packet.partition), map_.epoch);
+}
+
+uint64_t ClusterClient::RequiredIndex(uint32_t group, uint32_t partition) {
+  RequiredCell& cell = Cell(group, partition);
+  if (cell.stale) {
+    cell.index = 0;
+    const KeyRouter router = map_.router();
+    for (const auto& [key, mark] : watermarks()) {
+      if (mark.group == group && router.PartitionOf(key) == partition) {
+        cell.index = std::max(cell.index, mark.index);
+      }
     }
-    required = std::max(required, mark.index);
+    cell.stale = false;
   }
-  Frame(packet, required, map_.epoch);
+  return cell.index;
+}
+
+void ClusterClient::OnWatermark(const std::vector<uint8_t>& key,
+                                const Watermark& before,
+                                const Watermark& after) {
+  const uint32_t partition = map_.router().PartitionOf(key);
+  RequiredCell& raised = Cell(after.group, partition);
+  raised.index = std::max(raised.index, after.index);
+  // Within a group a mark only rises. Moving to another group (after a
+  // migration) is the one way a key leaves its cell, and only a non-zero
+  // mark can have been that cell's maximum.
+  if (before.group != after.group && before.index != 0) {
+    Cell(before.group, partition).stale = true;
+  }
+}
+
+ClusterClient::RequiredCell& ClusterClient::Cell(uint32_t group,
+                                                 uint32_t partition) {
+  const uint32_t partitions = map_.num_partitions();
+  if (partitions != required_partitions_) {
+    // A split relabels every key: rebuild from the watermarks, once.
+    required_partitions_ = partitions;
+    required_.assign(size_t{cluster_.num_groups()} * partitions, RequiredCell{});
+    const KeyRouter router = map_.router();
+    for (const auto& [key, mark] : watermarks()) {
+      RequiredCell& cell = Cell(mark.group, router.PartitionOf(key));
+      cell.index = std::max(cell.index, mark.index);
+    }
+  }
+  const size_t index = size_t{group} * partitions + partition;
+  if (index >= required_.size()) {
+    required_.resize(size_t{group + 1} * partitions);  // a group was added
+  }
+  return required_[index];
 }
 
 bool ClusterClient::OnShardBounce(const PacketPtr& packet,

@@ -34,6 +34,10 @@
 // partition has moved since the write, the watermark is dropped instead of
 // carried over (indices are per-group) — safe because a cutover implies the
 // write's state was installed on *every* destination replica below its log.
+// That maximum is kept per (group, partition) cell, so framing a packet costs
+// O(1), not a scan of every key's watermark: a write raises its cell, a key
+// whose mark moves to another group marks its old cell stale (rescanned when
+// a packet next asks for it), and a split rebuilds the table once.
 #ifndef SRC_CLUSTER_CLUSTER_CLIENT_H_
 #define SRC_CLUSTER_CLUSTER_CLIENT_H_
 
@@ -68,6 +72,13 @@ class ClusterClient : public GroupClient {
   void RefreshMap();
   const ShardMap& cached_map() const { return map_; }
 
+ protected:
+  // The read-your-writes index a packet for `partition` (under the cached
+  // map) served by `group` requires: the highest watermark this client holds
+  // in `group` for a key of that partition, 0 if none. Equal to a scan of
+  // watermarks(); a stale cell is recomputed by that scan.
+  uint64_t RequiredIndex(uint32_t group, uint32_t partition);
+
  private:
   ReplicationGroup& Group(uint32_t id) override { return cluster_.group(id); }
   // Batches ops per partition under the current map; used for a flush and
@@ -76,6 +87,8 @@ class ClusterClient : public GroupClient {
                                const std::vector<size_t>& slots,
                                const std::shared_ptr<FlushState>& flush) override;
   void Route(Packet& packet) override;
+  void OnWatermark(const std::vector<uint8_t>& key, const Watermark& before,
+                   const Watermark& after) override;
   bool OnShardBounce(const PacketPtr& packet,
                      const GroupResponse& response) override;
   // Patches or refetches the map, then re-routes, re-batches (reads) or
@@ -85,9 +98,21 @@ class ClusterClient : public GroupClient {
   // watermark) around the unchanged ops payload and sequence.
   void Reframe(Packet& packet);
 
+  struct RequiredCell {
+    uint64_t index = 0;
+    bool stale = false;  // a key left the cell; rescan before it is read
+  };
+  // The required-index cell of (group, partition): rebuilds the table first
+  // when the cached map's partition count changed (a split), and grows it
+  // when `group` was added since.
+  RequiredCell& Cell(uint32_t group, uint32_t partition);
+
   ClusterCoordinator& cluster_;
   Options options_;
   ShardMap map_;  // cached; patched or refetched on bounces
+  // Row-major [group][partition] over required_partitions_ partitions.
+  std::vector<RequiredCell> required_;
+  uint32_t required_partitions_ = 0;  // 0 until the first use builds it
 };
 
 }  // namespace kvd

@@ -50,7 +50,7 @@ double RunningStat::variance() const {
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
-LatencyHistogram::LatencyHistogram() : buckets_(kNumBuckets, 0) {}
+LatencyHistogram::LatencyHistogram() = default;
 
 int LatencyHistogram::BucketFor(uint64_t value) {
   if (value < (1u << kSubBucketBits)) {
@@ -76,6 +76,9 @@ uint64_t LatencyHistogram::BucketUpperBound(int bucket) {
 void LatencyHistogram::Add(uint64_t value) {
   const int bucket = BucketFor(value);
   KVD_DCHECK(bucket >= 0 && bucket < kNumBuckets);
+  if (buckets_.empty()) {
+    buckets_.resize(kNumBuckets, 0);
+  }
   buckets_[static_cast<size_t>(bucket)]++;
   if (count_ == 0) {
     min_ = value;
@@ -91,6 +94,9 @@ void LatencyHistogram::Add(uint64_t value) {
 void LatencyHistogram::Merge(const LatencyHistogram& other) {
   if (other.count_ == 0) {
     return;
+  }
+  if (buckets_.empty()) {
+    buckets_.resize(kNumBuckets, 0);
   }
   for (size_t i = 0; i < buckets_.size(); i++) {
     buckets_[i] += other.buckets_[i];

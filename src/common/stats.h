@@ -35,6 +35,8 @@ class RunningStat {
 
 // Log-linear histogram: values bucketed with ~1.5% relative error, constant
 // memory, O(1) insert. Suitable for latency distributions spanning ns..ms.
+// The 16 KiB of buckets are allocated by the first Add or Merge, so a
+// histogram that never records a value costs only its header.
 class LatencyHistogram {
  public:
   LatencyHistogram();
@@ -63,7 +65,7 @@ class LatencyHistogram {
   static int BucketFor(uint64_t value);
   static uint64_t BucketUpperBound(int bucket);
 
-  std::vector<uint64_t> buckets_;
+  std::vector<uint64_t> buckets_;  // empty until the first Add or Merge
   uint64_t count_ = 0;
   uint64_t sum_ = 0;
   uint64_t min_ = 0;

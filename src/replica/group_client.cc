@@ -283,7 +283,9 @@ void GroupClient::OnResponse(const PacketPtr& packet, std::vector<uint8_t> bytes
     }
     Watermark& mark = watermarks_[op.key];
     if (mark.group != packet->group || response.assigned_index > mark.index) {
+      const Watermark before = mark;
       mark = Watermark{packet->group, response.assigned_index};
+      OnWatermark(op.key, before, mark);
     }
   }
   packet->flush->outstanding--;

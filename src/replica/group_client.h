@@ -96,6 +96,7 @@ class GroupClient : public KvEndpoint {
     uint32_t group = 0;      // the group the next transmission targets
     uint32_t partition = 0;  // shard route label (routed frames only)
     SimTime sent_at = 0;     // first transmission
+    SimTime hedged_at = 0;   // the hedge copy's transmission; 0 if none
     std::shared_ptr<FlushState> flush;
   };
   using PacketPtr = std::shared_ptr<Packet>;
@@ -145,6 +146,12 @@ class GroupClient : public KvEndpoint {
   // The packet's results were delivered; `from_hedge` when the hedge copy's
   // response won.
   virtual void OnAnswered(const Packet& /*packet*/, bool /*from_hedge*/) {}
+  // An acknowledged write moved `key`'s watermark from `before` (a default
+  // Watermark for a key never written) to `after`; called once per change,
+  // after watermarks() holds `after`.
+  virtual void OnWatermark(const std::vector<uint8_t>& /*key*/,
+                           const Watermark& /*before*/,
+                           const Watermark& /*after*/) {}
 
   // --- engine services for the hooks ---
   // Packs ops greedily, in order; each op moves into its packet.

@@ -59,14 +59,19 @@ void ReplicatedClient::OnSent(const PacketPtr& packet) {
       return;
     }
     stats_.hedged_sends++;
+    packet->hedged_at = group_.simulator().Now();
     Wire(packet, (packet->target + 1) % group_.num_replicas(), /*hedge=*/true);
   });
 }
 
 void ReplicatedClient::OnAnswered(const Packet& packet, bool from_hedge) {
   if (!packet.is_write) {
-    read_rtt_ns_.Add(static_cast<uint64_t>(
-        (group_.simulator().Now() - packet.sent_at) / kNanosecond));
+    // The round trip of the copy that answered. A hedge win counts from the
+    // hedge send: from the first send it would measure the delay itself, and
+    // with a dead replica those samples would pin the p99 at the delay.
+    const SimTime sent = from_hedge ? packet.hedged_at : packet.sent_at;
+    read_rtt_ns_.Add(
+        static_cast<uint64_t>((group_.simulator().Now() - sent) / kNanosecond));
   }
   if (from_hedge) {
     stats_.hedge_wins++;

@@ -61,8 +61,8 @@ class ReplicatedClient : public GroupClient {
   ReplicationGroup& group_;
   Options options_;
   uint32_t next_read_target_ = 0;  // round-robin cursor for read packets
-  // Observed read round trips (first transmission -> accepted response, ns):
-  // the source of the adaptive hedge delay.
+  // Observed read round trips (the answering copy's transmission -> accepted
+  // response, ns): the source of the adaptive hedge delay.
   LatencyHistogram read_rtt_ns_;
 };
 

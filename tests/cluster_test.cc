@@ -329,6 +329,116 @@ TEST(ClusterClientTest, ShardsAndReplicatesOnOneSimulator) {
   EXPECT_EQ(total, 64u);
 }
 
+// Exposes the client's required-index table next to the watermark scan it
+// replaces.
+class RequiredIndexProbe : public ClusterClient {
+ public:
+  using ClusterClient::ClusterClient;
+  using ClusterClient::RequiredIndex;
+
+  // The highest watermark in `group` over keys of `partition` under the
+  // cached map: what every packet for that cell must require.
+  uint64_t ScannedIndex(uint32_t group, uint32_t partition) const {
+    uint64_t required = 0;
+    const KeyRouter router = cached_map().router();
+    for (const auto& [key, mark] : watermarks()) {
+      if (mark.group == group && router.PartitionOf(key) == partition) {
+        required = std::max(required, mark.index);
+      }
+    }
+    return required;
+  }
+
+  void ExpectTableMatchesScan(uint32_t num_groups, const char* checkpoint) {
+    for (uint32_t group = 0; group < num_groups; group++) {
+      for (uint32_t p = 0; p < cached_map().num_partitions(); p++) {
+        EXPECT_EQ(RequiredIndex(group, p), ScannedIndex(group, p))
+            << checkpoint << ": group " << group << ", partition " << p;
+      }
+    }
+  }
+};
+
+void FlushAllOk(ClusterClient& client) {
+  for (const KvResultMessage& r : client.Flush()) {
+    ASSERT_EQ(r.code, ResultCode::kOk);
+  }
+}
+
+TEST(ClusterClientTest, RequiredIndexMatchesWatermarkScan) {
+  ClusterConfig config = SmallClusterConfig(2, 4, 3);
+  ClusterCoordinator cluster(config);
+  RequiredIndexProbe client(cluster);
+  const KeyRouter router = cluster.router();
+  const uint32_t partition = 0;
+  const uint32_t home = cluster.shard_map().OwnerOf(partition);
+  const uint32_t away = 1 - home;
+  // Keys [64 r, 64 r + 64) written in round r, one flush per round, so each
+  // round's packet per partition commits at a higher index than the last.
+  const auto write_round = [&](uint64_t round) {
+    for (uint64_t id = 64 * round; id < 64 * round + 64; id++) {
+      client.Enqueue(Put(id, 1000 * round + id));
+    }
+    FlushAllOk(client);
+  };
+  const auto rewrite_partition_keys = [&](uint64_t round, uint64_t value) {
+    for (uint64_t id = 64 * round; id < 64 * round + 64; id++) {
+      if (router.PartitionOf(Key(id)) == partition) {
+        client.Enqueue(Put(id, value));
+      }
+    }
+    FlushAllOk(client);
+  };
+
+  // 1. Writes to every partition.
+  for (uint64_t round = 0; round < 4; round++) {
+    write_round(round);
+  }
+  for (uint32_t p = 0; p < 4; p++) {
+    ASSERT_GT(client.ScannedIndex(cluster.shard_map().OwnerOf(p), p), 0u);
+  }
+  client.ExpectTableMatchesScan(cluster.num_groups(), "after writes");
+
+  // 2. The partition moves away, and its round-3 keys (the cell's highest
+  // marks) are rewritten there: they leave (home, partition), whose maximum
+  // falls to round 2's index.
+  const uint64_t home_peak = client.ScannedIndex(home, partition);
+  ASSERT_TRUE(cluster.StartMigration(partition, away).ok());
+  cluster.DriveMigrationToCompletion();
+  rewrite_partition_keys(3, 7);
+  EXPECT_LT(client.ScannedIndex(home, partition), home_peak);
+  EXPECT_GT(client.ScannedIndex(home, partition), 0u);
+  client.ExpectTableMatchesScan(cluster.num_groups(), "after migrating away");
+
+  // 3. It moves back, the same keys leave (away, partition), and every key
+  // reads its last value through the table-framed packets.
+  ASSERT_TRUE(cluster.StartMigration(partition, home).ok());
+  cluster.DriveMigrationToCompletion();
+  ASSERT_GT(client.ScannedIndex(away, partition), 0u);
+  rewrite_partition_keys(3, 9);
+  EXPECT_EQ(client.ScannedIndex(away, partition), 0u);
+  for (uint64_t id = 0; id < 256; id++) {
+    client.Enqueue(Get(id));
+  }
+  std::vector<KvResultMessage> reads = client.Flush();
+  for (uint64_t id = 0; id < 256; id++) {
+    const bool rewritten = id >= 192 && router.PartitionOf(Key(id)) == partition;
+    ASSERT_EQ(reads[id].code, ResultCode::kOk) << "key " << id;
+    EXPECT_EQ(AsU64(reads[id].value), rewritten ? 9 : 1000 * (id / 64) + id)
+        << "key " << id;
+  }
+  client.ExpectTableMatchesScan(cluster.num_groups(), "after migrating back");
+
+  // 4. A split relabels every key; the refetched map rebuilds the table, and
+  // writes under the finer map raise its cells.
+  ASSERT_TRUE(cluster.SplitPartitions().ok());
+  client.RefreshMap();
+  ASSERT_EQ(client.cached_map().num_partitions(), 8u);
+  client.ExpectTableMatchesScan(cluster.num_groups(), "after the split");
+  write_round(4);
+  client.ExpectTableMatchesScan(cluster.num_groups(), "after post-split writes");
+}
+
 TEST(ClusterMigrationTest, MovesAPartitionAndFlipsTheMap) {
   ClusterConfig config = SmallClusterConfig(2, 4, 3);
   ClusterCoordinator cluster(config);

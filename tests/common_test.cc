@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cstring>
 #include <cmath>
+#include <cstdio>
 #include <deque>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/common/hashing.h"
@@ -309,6 +311,82 @@ TEST(LatencyHistogramTest, CdfRoundTripsPercentiles) {
         << "cdf point (" << value << ", " << p << ")";
     prev_p = p;
   }
+}
+
+// Every output of a histogram in one string: its summary line, its CDF
+// points and a sweep of percentiles.
+std::string RenderHistogram(const LatencyHistogram& h) {
+  std::string out = h.Summary();
+  for (const auto& [value, p] : h.Cdf()) {
+    char point[64];
+    std::snprintf(point, sizeof(point), " %llu:%.17g",
+                  static_cast<unsigned long long>(value), p);
+    out += point;
+  }
+  for (double q : {0.0, 0.001, 0.25, 0.5, 0.9, 0.999, 1.0}) {
+    out += " " + std::to_string(h.Percentile(q));
+  }
+  return out;
+}
+
+TEST(LatencyHistogramTest, LazyBucketsKeepEveryOutput) {
+  // Rendered by the histogram that zero-filled all 2048 buckets at
+  // construction; allocating them on first use must not change a digit.
+  const std::string kEmpty =
+      "n=0 mean=0.0 min=0 p50=0 p95=0 p99=0 max=0 0 0 0 0 0 0 0";
+  const std::string kFilled =
+      "n=10 mean=7093.0 min=0 p50=33 p95=65536 p99=65536 max=65536"
+      " 0:0.10000000000000001 1:0.20000000000000001 31:0.29999999999999999"
+      " 32:0.40000000000000002 33:0.5 101:0.69999999999999996"
+      " 1007:0.80000000000000004 4223:0.90000000000000002 67583:1"
+      " 0 0 31 33 4223 65536 65536";
+  const std::vector<uint64_t> values = {0,   1,    31,   32,   33,
+                                        100, 100, 1000, 4097, 65536};
+  const auto fill = [&](LatencyHistogram& h, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; i++) {
+      h.Add(values[i]);
+    }
+  };
+
+  const LatencyHistogram empty;
+  EXPECT_EQ(RenderHistogram(empty), kEmpty);
+  LatencyHistogram filled;
+  fill(filled, 0, values.size());
+  EXPECT_EQ(RenderHistogram(filled), kFilled);
+
+  // Reset keeps the buckets, renders as never filled, and refills the same.
+  LatencyHistogram reset = filled;
+  reset.Reset();
+  EXPECT_EQ(RenderHistogram(reset), kEmpty);
+  fill(reset, 0, values.size());
+  EXPECT_EQ(RenderHistogram(reset), kFilled);
+  LatencyHistogram reset_empty;
+  reset_empty.Reset();
+  EXPECT_EQ(RenderHistogram(reset_empty), kEmpty);
+
+  // Merges with and without buckets on either side.
+  LatencyHistogram merged;
+  merged.Merge(empty);
+  EXPECT_EQ(RenderHistogram(merged), kEmpty);
+  merged.Merge(filled);
+  EXPECT_EQ(RenderHistogram(merged), kFilled);
+  merged.Merge(empty);
+  EXPECT_EQ(RenderHistogram(merged), kFilled);
+  LatencyHistogram low;
+  LatencyHistogram high;
+  fill(low, 0, 4);
+  fill(high, 4, values.size());
+  LatencyHistogram halves;
+  halves.Merge(low);
+  halves.Merge(high);
+  EXPECT_EQ(RenderHistogram(halves), kFilled);
+  low.Merge(high);
+  EXPECT_EQ(RenderHistogram(low), kFilled);
+
+  // A copy of an empty histogram fills like a fresh one.
+  LatencyHistogram copy = empty;
+  fill(copy, 0, values.size());
+  EXPECT_EQ(RenderHistogram(copy), kFilled);
 }
 
 TEST(HashingTest, DeterministicAndSeedSensitive) {

@@ -145,6 +145,64 @@ TEST(MetricRegistryTest, PlainTextIsSorted) {
             "z_total 1\n");
 }
 
+TEST(MetricRegistryTest, HistogramExpositionIgnoresBucketAllocation) {
+  // A histogram never recorded, one recorded, and one recorded then reset
+  // (buckets allocated, count zero). Pinned from the histogram that
+  // allocated its buckets at construction.
+  LatencyHistogram empty;
+  LatencyHistogram filled;
+  for (uint64_t v : {0, 1, 31, 32, 33, 100, 100, 1000, 4097, 65536}) {
+    filled.Add(v);
+  }
+  LatencyHistogram reset = filled;
+  reset.Reset();
+  MetricRegistry registry;
+  registry.RegisterHistogram("h_empty", "never recorded", {},
+                             [&] { return empty; });
+  registry.RegisterHistogram("h_filled", "recorded", {{"k", "v"}},
+                             [&] { return filled; });
+  registry.RegisterHistogram("h_reset", "recorded then reset", {},
+                             [&] { return reset; });
+
+  EXPECT_EQ(registry.PrometheusText(),
+            "# HELP h_empty never recorded\n"
+            "# TYPE h_empty summary\n"
+            "h_empty{quantile=\"0.5\"} 0\n"
+            "h_empty{quantile=\"0.95\"} 0\n"
+            "h_empty{quantile=\"0.99\"} 0\n"
+            "h_empty_sum 0\n"
+            "h_empty_count 0\n"
+            "# HELP h_filled recorded\n"
+            "# TYPE h_filled summary\n"
+            "h_filled{k=\"v\",quantile=\"0.5\"} 33\n"
+            "h_filled{k=\"v\",quantile=\"0.95\"} 65536\n"
+            "h_filled{k=\"v\",quantile=\"0.99\"} 65536\n"
+            "h_filled_sum{k=\"v\"} 70930\n"
+            "h_filled_count{k=\"v\"} 10\n"
+            "# HELP h_reset recorded then reset\n"
+            "# TYPE h_reset summary\n"
+            "h_reset{quantile=\"0.5\"} 0\n"
+            "h_reset{quantile=\"0.95\"} 0\n"
+            "h_reset{quantile=\"0.99\"} 0\n"
+            "h_reset_sum 0\n"
+            "h_reset_count 0\n");
+  EXPECT_EQ(
+      registry.ToJson(),
+      R"({"metrics":[)"
+      R"({"name":"h_empty","type":"histogram","labels":{},"count":0,"mean":0,)"
+      R"("min":0,"max":0,"p50":0,"p95":0,"p99":0},)"
+      R"({"name":"h_filled","type":"histogram","labels":{"k":"v"},"count":10,)"
+      R"("mean":7093,"min":0,"max":65536,"p50":33,"p95":65536,"p99":65536},)"
+      R"({"name":"h_reset","type":"histogram","labels":{},"count":0,"mean":0,)"
+      R"("min":0,"max":0,"p50":0,"p95":0,"p99":0})"
+      R"(]})");
+  EXPECT_EQ(registry.PlainText(),
+            "h_empty n=0 mean=0.0 min=0 p50=0 p95=0 p99=0 max=0\n"
+            "h_filled{k=\"v\"} n=10 mean=7093.0 min=0 p50=33 p95=65536 "
+            "p99=65536 max=65536\n"
+            "h_reset n=0 mean=0.0 min=0 p50=0 p95=0 p99=0 max=0\n");
+}
+
 // The Chrome/Perfetto renderer over a hand-built trace: one named track per
 // record kind, microsecond timestamps with sub-microsecond fractions.
 TEST(ChromeTraceTest, RendersStagesAndSpansAsNamedTracks) {

@@ -451,6 +451,49 @@ TEST(OverloadTest, HedgedReadCompletesDespiteUnresponsiveReplica) {
   EXPECT_LT(group.simulator().Now() - before, options.timeout / 2);
 }
 
+TEST(OverloadTest, HedgeDelayTracksLiveReplicasWhileOneStaysDead) {
+  ReplicationConfig config;
+  config.num_replicas = 3;
+  config.server.kvs_memory_bytes = 2 * kMiB;
+  config.server.nic_dram.capacity_bytes = 512 * 1024;
+  ReplicationGroup group(config);
+  for (uint64_t k = 0; k < 8; k++) {
+    ASSERT_TRUE(group.Load(Key(k), U64Value(100 + k)).ok());
+  }
+
+  ReplicatedClient::Options options;
+  options.hedge_reads = true;
+  options.timeout = 2 * kMillisecond;
+  ReplicatedClient client(group, options);
+  const auto read = [&](uint64_t k) {
+    KvOperation op;
+    op.opcode = Opcode::kGet;
+    op.key = Key(k);
+    client.Enqueue(std::move(op));
+    std::vector<KvResultMessage> results = client.Flush();
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].code, ResultCode::kOk);
+    EXPECT_EQ(AsU64(results[0].value), 100 + k);
+  };
+
+  // Replica 1 never answers and is never healed: a third of the reads
+  // complete only through their hedge copy.
+  group.client_network(1).SetPartitioned(/*to_server=*/true, true);
+  for (uint64_t i = 0; i < 24; i++) {
+    read(i % 8);
+  }
+  // Past 16 samples the delay is the measured p99. A hedge win is timed
+  // from the hedge send, so the blocked reads' samples are live-replica
+  // round trips, and the delay drops below its timeout/2 start.
+  const uint64_t hedged_before = client.stats().hedged_sends;
+  const SimTime before = group.simulator().Now();
+  for (uint64_t k = 0; k < 8; k++) {
+    read(k);
+  }
+  EXPECT_GE(client.stats().hedged_sends - hedged_before, 2u);
+  EXPECT_LT(group.simulator().Now() - before, options.timeout / 2);
+}
+
 // --- gray-failure quorum demotion ---
 
 TEST(OverloadTest, GrayBackupIsDemotedThenReinstatedAfterHeal) {
