@@ -7,8 +7,9 @@
 #      the only tracing pipeline, the timed memory path must stay on
 #      InlineCallback, snapshot chunks must come from the one snapshot
 #      stream, group responses must be decoded by the one group-client
-#      engine, each owner must build one telemetry stack, and each
-#      request-path value must have one setting;
+#      engine, each owner must build one telemetry stack, each
+#      request-path value must have one setting, and a cluster packet must
+#      be framed without a scan;
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -111,6 +112,24 @@ knobs=$(grep -rnE 'FlushUnreliable|MergedAdmission|op_budget|hedge_delay|process
 if [[ -n "${knobs}" ]]; then
   echo "second setting for a request-path value found:" >&2
   echo "${knobs}" >&2
+  exit 1
+fi
+
+echo "=== layering guard: O(1) route framing ==="
+# ClusterClient frames each packet from its (group, partition) required-index
+# table (DESIGN.md §14). A loop in Reframe is the per-packet scan over every
+# key's watermark coming back.
+reframe=$(awk '/^void ClusterClient::Reframe\(/ { body = 1 } body { print } body && /^}/ { exit }' \
+            src/cluster/cluster_client.cc | sed 's|//.*||')
+if [[ -z "${reframe}" ]]; then
+  echo "ClusterClient::Reframe not found in src/cluster/cluster_client.cc" >&2
+  exit 1
+fi
+loops=$(grep -nE '\b(for|while)[[:space:]]*\(|\bdo[[:space:]]*\{|std::(ranges::)?(for_each|accumulate|max_element|reduce)' \
+          <<<"${reframe}" || true)
+if [[ -n "${loops}" ]]; then
+  echo "loop found in ClusterClient::Reframe:" >&2
+  echo "${loops}" >&2
   exit 1
 fi
 
