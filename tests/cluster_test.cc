@@ -2,8 +2,9 @@
 // forged/truncated rejection), KeyRouter hash-contract stability, live shard
 // migration (basic, frozen-window bounces, chaos on the copy stream with
 // zero lost acked writes and exactly-once application), stale-client-map
-// convergence, elasticity (add/remove groups), split relabeling, and the
-// Rebalancer planning policy.
+// convergence, the client's per-(group, partition) required index against
+// the watermark scan, elasticity (add/remove groups), split relabeling, and
+// the Rebalancer planning policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
