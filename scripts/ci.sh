@@ -8,8 +8,8 @@
 #      InlineCallback, snapshot chunks must come from the one snapshot
 #      stream, group responses must be decoded by the one group-client
 #      engine, each owner must build one telemetry stack, each
-#      request-path value must have one setting, and a cluster packet must
-#      be framed without a scan;
+#      request-path value must have one setting, a cluster packet must be
+#      framed without a scan, and the replication hop must not copy;
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -133,6 +133,18 @@ if [[ -n "${loops}" ]]; then
   exit 1
 fi
 
+echo "=== layering guard: copy-free replication hop ==="
+# The primary encodes each append window straight from its log into the
+# frame that ships, and every replica message is sealed in place
+# (DESIGN.md §9). FramePacket (a payload copy) or ReplicaLog::Window (a copy
+# of the entries) on the replication path brings the per-hop copies back.
+copies=$(grep -nE 'FramePacket\(|\.Window\(' src/replica/replication_group.cc || true)
+if [[ -n "${copies}" ]]; then
+  echo "copying call found on the replication hop:" >&2
+  echo "${copies}" >&2
+  exit 1
+fi
+
 echo "=== tier-1: configure + build + ctest ==="
 cmake -B "${BUILD_DIR}" -S .
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
@@ -152,6 +164,12 @@ echo "=== consistency-check suite (ctest -L check) ==="
 # Linearizability checker self-tests plus the nemesis explorer regression
 # (DESIGN.md §15) — run again by label so a regression names itself.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L check
+
+echo "=== decoder fuzzer (ctest -L fuzz) ==="
+# Bit flips, every-prefix truncations and in-buffer placement over the frame,
+# replica, group and result decoders, which parse views of received packets
+# in place — run again by label so a regression names itself.
+ctest --test-dir "${BUILD_DIR}" --output-on-failure -L fuzz
 
 echo "=== nemesis seed matrix: 32 seeds, history-checked ==="
 # A bounded consistency sweep: 32 seeded fault scripts over the cluster

@@ -165,7 +165,7 @@ void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
   endpoint_.Admit(frame->sequence);
   const uint64_t sequence = frame->sequence;
   DeliverPacket(
-      std::move(frame->payload),
+      std::vector<uint8_t>(frame->payload.begin(), frame->payload.end()),
       [this, sequence, respond = std::move(respond)](
           std::vector<uint8_t> response) {
         respond(endpoint_.Complete(sequence, response, /*cache=*/true));
@@ -392,7 +392,7 @@ void Client::OnFail(const ReliableSender::PacketPtr& packet) {
 
 void Client::OnResponse(const std::shared_ptr<PacketCtx>& ctx,
                         std::vector<uint8_t> packet) {
-  std::optional<std::vector<uint8_t>> payload =
+  std::optional<std::span<const uint8_t>> payload =
       sender_.AcceptResponse(ctx, packet);
   if (!payload.has_value()) {
     return;  // duplicate, corrupt, or foreign frame — counted by the sender

@@ -224,7 +224,12 @@ Result<std::optional<KvOperation>> PacketParser::Next() {
 }
 
 std::vector<uint8_t> EncodeResults(const std::vector<KvResultMessage>& results) {
+  size_t bytes = 0;
+  for (const KvResultMessage& result : results) {
+    bytes += kResultHeaderBytes + result.value.size();
+  }
   std::vector<uint8_t> out;
+  out.reserve(bytes);
   for (const KvResultMessage& result : results) {
     KVD_CHECK(result.epoch <= kMaxWireEpoch);
     out.push_back(static_cast<uint8_t>(result.code));
@@ -236,7 +241,7 @@ std::vector<uint8_t> EncodeResults(const std::vector<KvResultMessage>& results) 
   return out;
 }
 
-Result<std::vector<KvResultMessage>> DecodeResults(const std::vector<uint8_t>& payload) {
+Result<std::vector<KvResultMessage>> DecodeResults(std::span<const uint8_t> payload) {
   std::vector<KvResultMessage> results;
   size_t offset = 0;
   while (offset < payload.size()) {
@@ -259,8 +264,8 @@ Result<std::vector<KvResultMessage>> DecodeResults(const std::vector<uint8_t>& p
     if (offset + value_len > payload.size()) {
       return Status::InvalidArgument("truncated result value");
     }
-    result.value.assign(payload.begin() + static_cast<long>(offset),
-                        payload.begin() + static_cast<long>(offset + value_len));
+    const std::span<const uint8_t> value = payload.subspan(offset, value_len);
+    result.value.assign(value.begin(), value.end());
     offset += value_len;
     results.push_back(std::move(result));
   }

@@ -91,7 +91,7 @@ class PacketParser {
 // rejects values above kMaxWireEpoch as corruption.
 inline constexpr size_t kResultHeaderBytes = 17;
 std::vector<uint8_t> EncodeResults(const std::vector<KvResultMessage>& results);
-Result<std::vector<KvResultMessage>> DecodeResults(const std::vector<uint8_t>& payload);
+Result<std::vector<KvResultMessage>> DecodeResults(std::span<const uint8_t> payload);
 
 // Reliable framing (sequence + checksum) lives in src/transport/frame.h:
 // this file is only the lossless payload encoding the frames carry.

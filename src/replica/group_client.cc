@@ -142,15 +142,22 @@ void GroupClient::Send(const PacketPtr& packet) {
 
 void GroupClient::Frame(Packet& packet, uint64_t required_index,
                         std::optional<uint64_t> map_epoch) {
-  GroupRequest request;
-  request.required_index = required_index;
+  GroupRequestHeader header;
+  header.required_index = required_index;
   if (map_epoch.has_value()) {
-    request.has_route = true;
-    request.map_epoch = *map_epoch;
-    request.partition = packet.partition;
+    header.has_route = true;
+    header.map_epoch = *map_epoch;
+    header.partition = packet.partition;
   }
-  request.ops_payload = packet.ops_payload;
-  packet.framed = FramePacket(packet.sequence, EncodeGroupRequest(request));
+  // Encoded in place after the frame header room, then sealed: a reframe
+  // reuses the packet's buffer.
+  std::vector<uint8_t>& framed = packet.framed;
+  framed.clear();
+  framed.reserve(kFrameHeaderBytes +
+                 GroupRequestBytes(header, packet.ops_payload.size()));
+  framed.resize(kFrameHeaderBytes);
+  AppendGroupRequest(framed, header, packet.ops_payload);
+  SealFrame(packet.sequence, framed);
 }
 
 void GroupClient::Wire(const PacketPtr& packet, uint32_t target, bool hedge) {
@@ -220,7 +227,7 @@ void GroupClient::OnFail(const PacketPtr& packet) {
 
 void GroupClient::OnResponse(const PacketPtr& packet, std::vector<uint8_t> bytes,
                              bool from_hedge) {
-  std::optional<std::vector<uint8_t>> payload =
+  std::optional<std::span<const uint8_t>> payload =
       sender_.AcceptResponse(packet, bytes);
   if (!payload.has_value()) {
     return;  // duplicate, corrupt, or foreign frame — counted by the sender

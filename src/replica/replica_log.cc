@@ -22,16 +22,28 @@ const LogEntry& ReplicaLog::At(uint64_t index) const {
   return entries_[index - base_ - 1];
 }
 
-std::vector<LogEntry> ReplicaLog::Window(uint64_t first, uint32_t max_entries) const {
-  std::vector<LogEntry> out;
-  if (first <= base_ || first > end()) {
-    KVD_CHECK_MSG(first > base_, "window starts below the trimmed base");
-    return out;
+uint64_t ReplicaLog::WindowSize(uint64_t first, uint32_t max_entries) const {
+  KVD_CHECK_MSG(first > base_, "window starts below the trimmed base");
+  if (first > end()) {
+    return 0;
   }
-  const uint64_t last = std::min(end(), first + max_entries - 1);
-  out.reserve(last - first + 1);
-  for (uint64_t index = first; index <= last; index++) {
-    out.push_back(entries_[index - base_ - 1]);
+  return std::min(end(), first + max_entries - 1) - first + 1;
+}
+
+std::vector<uint8_t> ReplicaLog::EncodeWindow(const ReplicaMessage& header,
+                                              uint64_t first, uint64_t count,
+                                              size_t headroom) const {
+  KVD_CHECK(count == 0 || (Contains(first) && Contains(first + count - 1)));
+  size_t bytes = headroom + kAppendHeaderBytes;
+  for (uint64_t index = first; index < first + count; index++) {
+    bytes += LogEntryBytes(At(index));
+  }
+  std::vector<uint8_t> out;
+  out.reserve(bytes);
+  out.resize(headroom);
+  EncodeAppendHeader(out, header, static_cast<uint32_t>(count));
+  for (uint64_t index = first; index < first + count; index++) {
+    EncodeLogEntry(out, At(index));
   }
   return out;
 }

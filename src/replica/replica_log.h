@@ -34,8 +34,17 @@ class ReplicaLog {
 
   const LogEntry& At(uint64_t index) const;
 
-  // Entries [first, min(end, first + max_entries - 1)]; empty when first > end.
-  std::vector<LogEntry> Window(uint64_t first, uint32_t max_entries) const;
+  // How many entries the window [first, min(end, first + max_entries - 1)]
+  // holds; 0 when first > end. `first` must lie above the trimmed base.
+  uint64_t WindowSize(uint64_t first, uint32_t max_entries) const;
+
+  // A kAppend message carrying entries [first, first + count), encoded
+  // straight from the log after `headroom` zero bytes: `header` supplies
+  // the other kAppend fields (its entry list is ignored). The bytes equal
+  // EncodeReplicaMessage of `header` with those entries, and the buffer is
+  // allocated once, at its final size.
+  std::vector<uint8_t> EncodeWindow(const ReplicaMessage& header, uint64_t first,
+                                    uint64_t count, size_t headroom) const;
 
   // Drops oldest entries until at most `max_entries` remain (raises base).
   void Trim(uint64_t max_entries);

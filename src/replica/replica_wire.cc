@@ -1,5 +1,6 @@
 #include "src/replica/replica_wire.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace kvd {
@@ -23,17 +24,18 @@ void PutU64(std::vector<uint8_t>& out, uint64_t v) {
   std::memcpy(out.data() + at, &v, 8);
 }
 
-void PutBytes(std::vector<uint8_t>& out, const std::vector<uint8_t>& bytes) {
+void PutBytes(std::vector<uint8_t>& out, std::span<const uint8_t> bytes) {
   out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
-// Bounds-checked little-endian reader; every take reports truncation.
+// Bounds-checked little-endian reader over a view; every take reports
+// truncation and nothing is read past the view's end.
 struct Reader {
-  const std::vector<uint8_t>& in;
+  std::span<const uint8_t> in;
   size_t offset = 0;
 
   bool Take(void* out, size_t n) {
-    if (offset + n > in.size()) {
+    if (n > in.size() - offset) {
       return false;
     }
     std::memcpy(out, in.data() + offset, n);
@@ -44,13 +46,21 @@ struct Reader {
     if (n > in.size() - offset) {
       return false;
     }
-    out.assign(in.begin() + static_cast<long>(offset),
-               in.begin() + static_cast<long>(offset + n));
+    const std::span<const uint8_t> bytes = in.subspan(offset, n);
+    out.assign(bytes.begin(), bytes.end());
     offset += n;
     return true;
   }
+  std::span<const uint8_t> Rest() const { return in.subspan(offset); }
   bool Done() const { return offset == in.size(); }
 };
+
+constexpr size_t kMessageHeaderBytes = 1 + 8 + 4;  // type | epoch | sender
+constexpr size_t kResultFixedBytes = 1 + 8 + 4;    // code | scalar | length
+
+size_t ResultBytes(const KvResultMessage& result) {
+  return kResultFixedBytes + result.value.size();
+}
 
 void EncodeResult(std::vector<uint8_t>& out, const KvResultMessage& result) {
   out.push_back(static_cast<uint8_t>(result.code));
@@ -70,21 +80,9 @@ bool DecodeResult(Reader& reader, KvResultMessage& result) {
   return reader.TakeBytes(result.value, len);
 }
 
-void EncodeEntry(std::vector<uint8_t>& out, const LogEntry& entry) {
-  PutU64(out, entry.epoch);
-  PutU64(out, entry.client_sequence);
-  PutU16(out, entry.slot);
-  out.push_back(static_cast<uint8_t>(entry.op.opcode));
-  out.push_back(entry.op.element_width);
-  out.push_back(entry.op.return_value ? 1 : 0);
-  PutU16(out, entry.op.function_id);
-  PutU64(out, entry.op.param);
-  PutU16(out, static_cast<uint16_t>(entry.op.key.size()));
-  PutU32(out, static_cast<uint32_t>(entry.op.value.size()));
-  PutBytes(out, entry.op.key);
-  PutBytes(out, entry.op.value);
-  EncodeResult(out, entry.result);
-}
+// epoch | client_sequence | slot | opcode | element_width | return_value |
+// function_id | param | key_len | value_len
+constexpr size_t kEntryFixedBytes = 8 + 8 + 2 + 1 + 1 + 1 + 2 + 8 + 2 + 4;
 
 bool DecodeEntry(Reader& reader, LogEntry& entry) {
   uint8_t opcode_byte, return_value;
@@ -107,24 +105,94 @@ bool DecodeEntry(Reader& reader, LogEntry& entry) {
          DecodeResult(reader, entry.result);
 }
 
+// The exact encoded size of `msg`, so an encoder allocates once.
+size_t ReplicaMessageBytes(const ReplicaMessage& msg) {
+  switch (msg.type) {
+    case ReplicaMessageType::kAppend: {
+      size_t bytes = kAppendHeaderBytes;
+      for (const LogEntry& entry : msg.entries) {
+        bytes += LogEntryBytes(entry);
+      }
+      return bytes;
+    }
+    case ReplicaMessageType::kAppendAck:
+    case ReplicaMessageType::kPromoteQuery:
+    case ReplicaMessageType::kPromote:
+      return kMessageHeaderBytes + 8;
+    case ReplicaMessageType::kPromoteReply:
+      return kMessageHeaderBytes + 8 + 8 + 8 + 1;
+    case ReplicaMessageType::kCatchupRequest:
+      return kMessageHeaderBytes + 8 + 8;
+    case ReplicaMessageType::kStateChunk: {
+      size_t bytes = kMessageHeaderBytes + 8 + 8 + 4 + 1 + 4;
+      for (const auto& [key, value] : msg.kvs) {
+        bytes += 2 + 4 + key.size() + value.size();
+      }
+      if ((msg.chunk_flags & kStateChunkSessions) != 0) {
+        bytes += 4;
+        for (const SessionRecord& record : msg.sessions) {
+          bytes += 8 + 2 + ResultBytes(record.result);
+        }
+      }
+      return bytes;
+    }
+  }
+  return kMessageHeaderBytes;
+}
+
 }  // namespace
 
-std::vector<uint8_t> EncodeReplicaMessage(const ReplicaMessage& msg) {
+size_t LogEntryBytes(const LogEntry& entry) {
+  return kEntryFixedBytes + entry.op.key.size() + entry.op.value.size() +
+         ResultBytes(entry.result);
+}
+
+void EncodeLogEntry(std::vector<uint8_t>& out, const LogEntry& entry) {
+  PutU64(out, entry.epoch);
+  PutU64(out, entry.client_sequence);
+  PutU16(out, entry.slot);
+  out.push_back(static_cast<uint8_t>(entry.op.opcode));
+  out.push_back(entry.op.element_width);
+  out.push_back(entry.op.return_value ? 1 : 0);
+  PutU16(out, entry.op.function_id);
+  PutU64(out, entry.op.param);
+  PutU16(out, static_cast<uint16_t>(entry.op.key.size()));
+  PutU32(out, static_cast<uint32_t>(entry.op.value.size()));
+  PutBytes(out, entry.op.key);
+  PutBytes(out, entry.op.value);
+  EncodeResult(out, entry.result);
+}
+
+void EncodeAppendHeader(std::vector<uint8_t>& out, const ReplicaMessage& msg,
+                        uint32_t entry_count) {
+  out.push_back(static_cast<uint8_t>(ReplicaMessageType::kAppend));
+  PutU64(out, msg.epoch);
+  PutU32(out, msg.sender);
+  PutU64(out, msg.first_index);
+  PutU64(out, msg.prev_epoch);
+  PutU64(out, msg.commit_index);
+  PutU64(out, msg.leader_end);
+  PutU32(out, entry_count);
+}
+
+std::vector<uint8_t> EncodeReplicaMessage(const ReplicaMessage& msg,
+                                          size_t headroom) {
   std::vector<uint8_t> out;
+  out.reserve(headroom + ReplicaMessageBytes(msg));
+  out.resize(headroom);
+  if (msg.type == ReplicaMessageType::kAppend) {
+    EncodeAppendHeader(out, msg, static_cast<uint32_t>(msg.entries.size()));
+    for (const LogEntry& entry : msg.entries) {
+      EncodeLogEntry(out, entry);
+    }
+    return out;
+  }
   out.push_back(static_cast<uint8_t>(msg.type));
   PutU64(out, msg.epoch);
   PutU32(out, msg.sender);
   switch (msg.type) {
     case ReplicaMessageType::kAppend:
-      PutU64(out, msg.first_index);
-      PutU64(out, msg.prev_epoch);
-      PutU64(out, msg.commit_index);
-      PutU64(out, msg.leader_end);
-      PutU32(out, static_cast<uint32_t>(msg.entries.size()));
-      for (const LogEntry& entry : msg.entries) {
-        EncodeEntry(out, entry);
-      }
-      break;
+      break;  // encoded above
     case ReplicaMessageType::kAppendAck:
       PutU64(out, msg.ack_index);
       break;
@@ -169,7 +237,7 @@ std::vector<uint8_t> EncodeReplicaMessage(const ReplicaMessage& msg) {
   return out;
 }
 
-Result<ReplicaMessage> DecodeReplicaMessage(const std::vector<uint8_t>& payload) {
+Result<ReplicaMessage> DecodeReplicaMessage(std::span<const uint8_t> payload) {
   Reader reader{payload};
   ReplicaMessage msg;
   uint8_t type_byte;
@@ -189,7 +257,10 @@ Result<ReplicaMessage> DecodeReplicaMessage(const std::vector<uint8_t>& payload)
           !reader.Take(&count, 4)) {
         return Status::InvalidArgument("truncated append header");
       }
-      msg.entries.reserve(count);
+      // A corrupt count must not size the vector: reserve only what the
+      // remaining bytes could hold.
+      msg.entries.reserve(std::min<size_t>(
+          count, reader.Rest().size() / (kEntryFixedBytes + kResultFixedBytes)));
       for (uint32_t i = 0; i < count; i++) {
         LogEntry entry;
         if (!DecodeEntry(reader, entry)) {
@@ -242,7 +313,7 @@ Result<ReplicaMessage> DecodeReplicaMessage(const std::vector<uint8_t>& payload)
       if ((msg.chunk_flags & ~kStateChunkKnownFlags) != 0) {
         return Status::InvalidArgument("unknown state chunk flags");
       }
-      msg.kvs.reserve(count);
+      msg.kvs.reserve(std::min<size_t>(count, reader.Rest().size() / (2 + 4)));
       for (uint32_t i = 0; i < count; i++) {
         uint16_t key_len;
         uint32_t value_len;
@@ -275,21 +346,31 @@ Result<ReplicaMessage> DecodeReplicaMessage(const std::vector<uint8_t>& payload)
   return msg;
 }
 
+size_t GroupRequestBytes(const GroupRequestHeader& header, size_t ops_bytes) {
+  return 8 + (header.has_route ? 12 : 0) + ops_bytes;
+}
+
+void AppendGroupRequest(std::vector<uint8_t>& out,
+                        const GroupRequestHeader& header,
+                        std::span<const uint8_t> ops_payload) {
+  // The watermark itself must never collide with the route marker bit.
+  PutU64(out, (header.required_index & ~kGroupRequestRouted) |
+                  (header.has_route ? kGroupRequestRouted : 0));
+  if (header.has_route) {
+    PutU64(out, header.map_epoch);
+    PutU32(out, header.partition);
+  }
+  PutBytes(out, ops_payload);
+}
+
 std::vector<uint8_t> EncodeGroupRequest(const GroupRequest& request) {
   std::vector<uint8_t> out;
-  out.reserve(8 + (request.has_route ? 12 : 0) + request.ops_payload.size());
-  // The watermark itself must never collide with the route marker bit.
-  PutU64(out, (request.required_index & ~kGroupRequestRouted) |
-                  (request.has_route ? kGroupRequestRouted : 0));
-  if (request.has_route) {
-    PutU64(out, request.map_epoch);
-    PutU32(out, request.partition);
-  }
-  PutBytes(out, request.ops_payload);
+  out.reserve(GroupRequestBytes(request, request.ops_payload.size()));
+  AppendGroupRequest(out, request, request.ops_payload);
   return out;
 }
 
-Result<GroupRequest> DecodeGroupRequest(const std::vector<uint8_t>& payload) {
+Result<GroupRequest> DecodeGroupRequest(std::span<const uint8_t> payload) {
   Reader reader{payload};
   GroupRequest request;
   if (!reader.Take(&request.required_index, 8)) {
@@ -303,8 +384,8 @@ Result<GroupRequest> DecodeGroupRequest(const std::vector<uint8_t>& payload) {
       return Status::InvalidArgument("truncated group request route");
     }
   }
-  request.ops_payload.assign(payload.begin() + static_cast<long>(reader.offset),
-                             payload.end());
+  const std::span<const uint8_t> ops = reader.Rest();
+  request.ops_payload.assign(ops.begin(), ops.end());
   return request;
 }
 
@@ -324,7 +405,7 @@ std::vector<uint8_t> EncodeGroupResponse(const GroupResponse& response) {
   return out;
 }
 
-Result<GroupResponse> DecodeGroupResponse(const std::vector<uint8_t>& payload) {
+Result<GroupResponse> DecodeGroupResponse(std::span<const uint8_t> payload) {
   Reader reader{payload};
   GroupResponse response;
   if (!reader.Take(&response.flags, 1) || !reader.Take(&response.epoch, 8) ||
@@ -342,8 +423,8 @@ Result<GroupResponse> DecodeGroupResponse(const std::vector<uint8_t>& payload) {
       return Status::InvalidArgument("truncated group response shard context");
     }
   }
-  response.results_payload.assign(
-      payload.begin() + static_cast<long>(reader.offset), payload.end());
+  const std::span<const uint8_t> results = reader.Rest();
+  response.results_payload.assign(results.begin(), results.end());
   return response;
 }
 

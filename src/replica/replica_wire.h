@@ -17,7 +17,9 @@
 #ifndef SRC_REPLICA_REPLICA_WIRE_H_
 #define SRC_REPLICA_REPLICA_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -108,8 +110,21 @@ struct ReplicaMessage {
   std::vector<SessionRecord> sessions;  // with kStateChunkSessions
 };
 
-std::vector<uint8_t> EncodeReplicaMessage(const ReplicaMessage& msg);
-Result<ReplicaMessage> DecodeReplicaMessage(const std::vector<uint8_t>& payload);
+// Encodes `msg` after `headroom` zero bytes (room for a frame header, so the
+// frame can be sealed in place), into a buffer sized exactly once.
+std::vector<uint8_t> EncodeReplicaMessage(const ReplicaMessage& msg,
+                                          size_t headroom = 0);
+Result<ReplicaMessage> DecodeReplicaMessage(std::span<const uint8_t> payload);
+
+// The pieces of a kAppend encoding, for senders that encode a window
+// straight from their log (ReplicaLog::EncodeWindow) instead of copying its
+// entries into ReplicaMessage::entries: the header (every field of `msg`
+// that kAppend carries, plus the entry count), then each entry.
+inline constexpr size_t kAppendHeaderBytes = 1 + 8 + 4 + 4 * 8 + 4;
+void EncodeAppendHeader(std::vector<uint8_t>& out, const ReplicaMessage& msg,
+                        uint32_t entry_count);
+size_t LogEntryBytes(const LogEntry& entry);
+void EncodeLogEntry(std::vector<uint8_t>& out, const LogEntry& entry);
 
 // --- client <-> group messages (ride inside the PR 2 reliable framing) ---
 
@@ -124,12 +139,15 @@ Result<ReplicaMessage> DecodeReplicaMessage(const std::vector<uint8_t>& payload)
 // the pre-cluster format, and log watermarks never approach 2^63.
 inline constexpr uint64_t kGroupRequestRouted = 1ull << 63;
 
-struct GroupRequest {
+struct GroupRequestHeader {
   uint64_t required_index = 0;
   // Shard-map routing extension (present iff has_route).
   bool has_route = false;
   uint64_t map_epoch = 0;
   uint32_t partition = 0;
+};
+
+struct GroupRequest : GroupRequestHeader {
   std::vector<uint8_t> ops_payload;
 };
 
@@ -163,9 +181,15 @@ struct GroupResponse {
 };
 
 std::vector<uint8_t> EncodeGroupRequest(const GroupRequest& request);
-Result<GroupRequest> DecodeGroupRequest(const std::vector<uint8_t>& payload);
+// Appends the encoding of `header` followed by `ops_payload` to `out`: a
+// client frames a request in place around its packed ops this way.
+void AppendGroupRequest(std::vector<uint8_t>& out,
+                        const GroupRequestHeader& header,
+                        std::span<const uint8_t> ops_payload);
+size_t GroupRequestBytes(const GroupRequestHeader& header, size_t ops_bytes);
+Result<GroupRequest> DecodeGroupRequest(std::span<const uint8_t> payload);
 std::vector<uint8_t> EncodeGroupResponse(const GroupResponse& response);
-Result<GroupResponse> DecodeGroupResponse(const std::vector<uint8_t>& payload);
+Result<GroupResponse> DecodeGroupResponse(std::span<const uint8_t> payload);
 
 }  // namespace kvd
 

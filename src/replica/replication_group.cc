@@ -158,10 +158,9 @@ std::vector<SnapshotKv> ReplicationGroup::SnapshotPartitionKvs(
 std::vector<std::vector<uint8_t>> ReplicationGroup::PartitionKeys(
     const KeyRouter& router, uint32_t partition) const {
   std::vector<std::vector<uint8_t>> keys;
-  for (const auto& key : replicas_[primary_view_]->keys) {
-    if (router.PartitionOf(key) == partition) {
-      keys.push_back(key);
-    }
+  for (const std::vector<uint8_t>* key :
+       SortedKeys(replicas_[primary_view_]->keys, &router, partition)) {
+    keys.push_back(*key);
   }
   return keys;
 }
@@ -380,40 +379,63 @@ void ReplicationGroup::HandleClientRequest(
   ServeReads(rep, sequence, std::move(ops), std::move(respond));
 }
 
+uint32_t ReplicationGroup::NewRequest(
+    Replica& rep, uint64_t sequence, size_t num_ops,
+    std::function<void(std::vector<uint8_t>)> respond) {
+  const uint32_t index = requests_.Allocate();
+  ClientRequest& request = requests_[index];
+  request.rep = &rep;
+  request.sequence = sequence;
+  request.ops.clear();
+  request.results.assign(num_ops, KvResultMessage{});
+  request.remaining = 0;
+  request.needed_index = 0;
+  request.appended = false;
+  request.appended_at = 0;
+  request.respond = std::move(respond);
+  return index;
+}
+
 void ReplicationGroup::ServeReads(
     Replica& rep, uint64_t sequence, std::vector<KvOperation> ops,
     std::function<void(std::vector<uint8_t>)> respond) {
   AdmitReplay(rep, sequence);
-  struct ReadState {
-    std::vector<KvResultMessage> results;
-    size_t remaining = 0;
-    std::function<void(std::vector<uint8_t>)> respond;
-  };
-  auto state = std::make_shared<ReadState>();
-  state->results.resize(ops.size());
-  state->remaining = ops.size();
-  state->respond = std::move(respond);
-  Replica* rp = &rep;
+  const uint32_t index = NewRequest(rep, sequence, ops.size(), std::move(respond));
+  requests_[index].remaining = ops.size();
   for (size_t i = 0; i < ops.size(); i++) {
-    rep.server->Submit(
-        std::move(ops[i]), [this, rp, state, sequence, i](KvResultMessage result) {
-          state->results[i] = std::move(result);
-          if (--state->remaining > 0) {
-            return;
-          }
-          if (rp->crashed) {
-            return;  // response died with the replica
-          }
-          GroupResponse resp;
-          resp.epoch = rp->current_epoch;
-          resp.primary_id = rp->believed_primary;
-          for (KvResultMessage& r : state->results) {
-            r.epoch = static_cast<uint32_t>(rp->current_epoch);
-          }
-          resp.results_payload = EncodeResults(state->results);
-          FinishResponse(*rp, sequence, std::move(resp), state->respond, true);
-        });
+    // A completion may run inside Submit: hold no request reference across it.
+    rep.server->Submit(std::move(ops[i]),
+                       [this, index, slot = static_cast<uint32_t>(i)](
+                           KvResultMessage result) {
+                         OnReadRetired(index, slot, std::move(result));
+                       });
   }
+}
+
+void ReplicationGroup::OnReadRetired(uint32_t index, uint32_t slot,
+                                     KvResultMessage result) {
+  ClientRequest& request = requests_[index];
+  request.results[slot] = std::move(result);
+  if (--request.remaining > 0) {
+    return;
+  }
+  // The responder may re-enter the group: release the slot first.
+  Replica& rep = *request.rep;
+  const uint64_t sequence = request.sequence;
+  std::vector<KvResultMessage> results = std::move(request.results);
+  std::function<void(std::vector<uint8_t>)> respond = std::move(request.respond);
+  requests_.Free(index);
+  if (rep.crashed) {
+    return;  // response died with the replica
+  }
+  GroupResponse resp;
+  resp.epoch = rep.current_epoch;
+  resp.primary_id = rep.believed_primary;
+  for (KvResultMessage& r : results) {
+    r.epoch = static_cast<uint32_t>(rep.current_epoch);
+  }
+  resp.results_payload = EncodeResults(results);
+  FinishResponse(rep, sequence, std::move(resp), respond, true);
 }
 
 void ReplicationGroup::ServeWrites(
@@ -434,29 +456,24 @@ void ReplicationGroup::ServeWrites(
 void ReplicationGroup::ExecuteWrites(
     Replica& rep, uint64_t sequence, std::vector<KvOperation> ops,
     std::function<void(std::vector<uint8_t>)> respond) {
-  struct WriteState {
-    std::vector<KvResultMessage> results;
-    size_t remaining = 0;
-    uint64_t needed_index = 0;
-    bool appended = false;
-    SimTime appended_at = 0;
-    std::function<void(std::vector<uint8_t>)> respond;
-  };
-  auto state = std::make_shared<WriteState>();
-  state->results.resize(ops.size());
-  state->respond = std::move(respond);
+  const uint32_t index = NewRequest(rep, sequence, ops.size(), std::move(respond));
+  ClientRequest& request = requests_[index];
+  request.ops = std::move(ops);
 
   // Replicated session records answer write slots that already executed —
   // possibly under a previous primary — without re-executing them. That is
   // what makes retransmission across failover exactly-once.
-  std::vector<size_t> submit;
+  std::vector<uint32_t> submit;
   auto session = rep.sessions.find(sequence);
   bool session_hit = false;
-  for (size_t i = 0; i < ops.size(); i++) {
-    if (IsWriteOpcode(ops[i].opcode) && session != rep.sessions.end()) {
-      auto stored = session->second.find(static_cast<uint16_t>(i));
-      if (stored != session->second.end()) {
-        state->results[i] = stored->second;
+  for (uint32_t i = 0; i < request.ops.size(); i++) {
+    if (IsWriteOpcode(request.ops[i].opcode) && session != rep.sessions.end()) {
+      const Replica::SessionSlots& slots = session->second;
+      auto stored = std::lower_bound(
+          slots.begin(), slots.end(), i,
+          [](const auto& record, uint32_t slot) { return record.first < slot; });
+      if (stored != slots.end() && stored->first == i) {
+        request.results[i] = stored->second;
         stats_.session_dedup_hits++;
         session_hit = true;
         continue;
@@ -467,65 +484,85 @@ void ReplicationGroup::ExecuteWrites(
   if (session_hit) {
     // The stored entries sit at or below the current log end; wait for the
     // whole present log to commit (conservative, but simple and safe).
-    state->needed_index = rep.log.end();
+    request.needed_index = rep.log.end();
   }
-
-  Replica* rp = &rep;
-  auto finish = [this, rp, sequence, state] {
-    if (state->appended) {
-      TryAdvanceCommit(*rp);  // a quorum of one commits immediately
-    }
-    if (rp->commit >= state->needed_index) {
-      RespondWrite(*rp, sequence, state->needed_index,
-                   std::move(state->results), state->respond,
-                   state->appended_at);
-    } else {
-      PendingAck pending;
-      pending.needed_index = state->needed_index;
-      pending.sequence = sequence;
-      pending.appended_at = state->appended_at;
-      pending.results = std::move(state->results);
-      pending.respond = state->respond;
-      rp->pending.push_back(std::move(pending));
-    }
-    if (state->appended) {
-      PushAppends(*rp);
-    }
-  };
 
   if (submit.empty()) {
-    finish();
+    FinishWrites(index);
     return;
   }
-  state->remaining = submit.size();
-  for (size_t i : submit) {
-    KvOperation op = ops[i];
+  request.remaining = submit.size();
+  for (const uint32_t i : submit) {
+    // A completion may run inside Submit: hold no request reference across it.
+    KvOperation& op = requests_[index].ops[i];
     const bool is_write = IsWriteOpcode(op.opcode);
     if (is_write) {
       rep.inflight_ops++;
     }
-    rep.server->Submit(
-        ops[i], [this, rp, state, sequence, i, is_write, finish,
-                 op = std::move(op)](KvResultMessage result) {
-          if (is_write) {
-            rp->inflight_ops--;
-          }
-          if (is_write && result.code == ResultCode::kOk) {
-            AppendEffectiveWrite(*rp, sequence, static_cast<uint16_t>(i), op,
-                                 result);
-            state->needed_index = rp->log.end();
-            state->appended = true;
-            state->appended_at = sim_.Now();
-          }
-          state->results[i] = std::move(result);
-          if (--state->remaining > 0) {
-            return;
-          }
-          if (rp->crashed || !rp->is_primary) {
-            return;  // crashed or deposed mid-request; the client retries
-          }
-          finish();
-        });
+    // A write's op stays in the request until it retires into its log
+    // entry; a read's is not needed again.
+    rep.server->Submit(is_write ? KvOperation(op) : std::move(op),
+                       [this, index, i](KvResultMessage result) {
+                         OnWriteRetired(index, i, std::move(result));
+                       });
+  }
+}
+
+void ReplicationGroup::OnWriteRetired(uint32_t index, uint32_t slot,
+                                      KvResultMessage result) {
+  ClientRequest& request = requests_[index];
+  Replica& rep = *request.rep;
+  const bool is_write = IsWriteOpcode(request.ops[slot].opcode);
+  if (is_write) {
+    rep.inflight_ops--;
+  }
+  if (is_write && result.code == ResultCode::kOk) {
+    AppendEffectiveWrite(rep, request.sequence, static_cast<uint16_t>(slot),
+                         std::move(request.ops[slot]), result);
+    request.needed_index = rep.log.end();
+    request.appended = true;
+    request.appended_at = sim_.Now();
+  }
+  request.results[slot] = std::move(result);
+  if (--request.remaining > 0) {
+    return;
+  }
+  if (rep.crashed || !rep.is_primary) {
+    requests_.Free(index);
+    return;  // crashed or deposed mid-request; the client retries
+  }
+  FinishWrites(index);
+}
+
+void ReplicationGroup::FinishWrites(uint32_t index) {
+  // Committing can answer other writes, whose responders may re-enter the
+  // group: release the slot first.
+  ClientRequest& request = requests_[index];
+  Replica& rep = *request.rep;
+  const uint64_t sequence = request.sequence;
+  const uint64_t needed_index = request.needed_index;
+  const bool appended = request.appended;
+  const SimTime appended_at = request.appended_at;
+  std::vector<KvResultMessage> results = std::move(request.results);
+  std::function<void(std::vector<uint8_t>)> respond = std::move(request.respond);
+  requests_.Free(index);
+  if (appended) {
+    TryAdvanceCommit(rep);  // a quorum of one commits immediately
+  }
+  if (rep.commit >= needed_index) {
+    RespondWrite(rep, sequence, needed_index, std::move(results), respond,
+                 appended_at);
+  } else {
+    PendingAck pending;
+    pending.needed_index = needed_index;
+    pending.sequence = sequence;
+    pending.appended_at = appended_at;
+    pending.results = std::move(results);
+    pending.respond = std::move(respond);
+    rep.pending.push_back(std::move(pending));
+  }
+  if (appended) {
+    PushAppends(rep);
   }
 }
 
@@ -558,24 +595,24 @@ void ReplicationGroup::RespondWrite(
 }
 
 void ReplicationGroup::AppendEffectiveWrite(Replica& rep, uint64_t sequence,
-                                            uint16_t slot, const KvOperation& op,
+                                            uint16_t slot, KvOperation op,
                                             const KvResultMessage& result) {
   request_tracer().Point(op.trace, TracePoint::kReplAppend);
   LogEntry entry;
   entry.epoch = rep.current_epoch;
   entry.client_sequence = sequence;
   entry.slot = slot;
-  entry.op = op;
+  entry.op = std::move(op);
   // Backups re-execute the entry through their own timed pipeline; the
   // client's live trace must not collect those replica-local spans.
   entry.op.trace = 0;
   entry.result = result;
   rep.log.Append(std::move(entry));
-  rep.append_time[rep.log.end()] = sim_.Now();
+  rep.append_time.emplace_back(rep.log.end(), sim_.Now());
   rep.match[rep.id] = rep.log.end();
   rep.next[rep.id] = rep.log.end() + 1;
   rep.applied = rep.log.end();  // execute-then-log: effects already in store
-  TrackKey(rep, op);
+  TrackKey(rep, rep.log.At(rep.log.end()).op);
   RecordSession(rep, sequence, slot, result);
   TrimLog(rep);
 }
@@ -584,7 +621,15 @@ void ReplicationGroup::RecordSession(Replica& rep, uint64_t sequence,
                                      uint16_t slot,
                                      const KvResultMessage& result) {
   auto [it, inserted] = rep.sessions.try_emplace(sequence);
-  it->second[slot] = result;
+  Replica::SessionSlots& slots = it->second;
+  auto at = std::lower_bound(
+      slots.begin(), slots.end(), slot,
+      [](const auto& record, uint16_t s) { return record.first < s; });
+  if (at != slots.end() && at->first == slot) {
+    at->second = result;
+  } else {
+    slots.emplace(at, slot, result);
+  }
   if (inserted) {
     rep.session_order.push_back(sequence);
     constexpr size_t kSessionEntries = 1u << 16;  // oldest evicted first
@@ -629,18 +674,17 @@ void ReplicationGroup::DropInFlight(Replica& rep) {
 // --- replication path ---
 
 void ReplicationGroup::SendReplicaMessage(uint32_t from, uint32_t to,
-                                          const ReplicaMessage& msg,
-                                          const std::vector<uint64_t>* traces) {
-  SendReplicaPayload(from, to, EncodeReplicaMessage(msg), traces);
+                                          const ReplicaMessage& msg) {
+  SendReplicaFrame(from, to, EncodeReplicaMessage(msg, kFrameHeaderBytes));
 }
 
-void ReplicationGroup::SendReplicaPayload(uint32_t from, uint32_t to,
-                                          std::span<const uint8_t> payload,
-                                          const std::vector<uint64_t>* traces) {
+void ReplicationGroup::SendReplicaFrame(uint32_t from, uint32_t to,
+                                        std::vector<uint8_t> frame,
+                                        const std::vector<uint64_t>* traces) {
   if (replicas_[from]->crashed) {
     return;
   }
-  std::vector<uint8_t> frame = FramePacket(++next_repl_sequence_, payload);
+  SealFrame(++next_repl_sequence_, frame);
   std::shared_ptr<bool> alive = liveness_;
   auto deliver = [this, alive, to](std::vector<uint8_t> packet) {
     if (*alive) {
@@ -671,7 +715,7 @@ void ReplicationGroup::OnReplicaFrame(uint32_t to, std::vector<uint8_t> packet) 
     stats_.corrupt_replica_frames++;
     return;
   }
-  const ReplicaMessage& msg = decoded.value();
+  ReplicaMessage& msg = decoded.value();
   switch (msg.type) {
     case ReplicaMessageType::kAppend:
       OnAppend(rep, msg);
@@ -697,7 +741,7 @@ void ReplicationGroup::OnReplicaFrame(uint32_t to, std::vector<uint8_t> packet) 
   }
 }
 
-void ReplicationGroup::OnAppend(Replica& rep, const ReplicaMessage& msg) {
+void ReplicationGroup::OnAppend(Replica& rep, ReplicaMessage& msg) {
   if (msg.epoch < rep.current_epoch) {
     // Depose the stale primary: an ack carrying a higher epoch does it.
     ReplicaMessage ack = MakeMessage(ReplicaMessageType::kAppendAck,
@@ -831,7 +875,7 @@ void ReplicationGroup::OnCatchupRequest(Replica& rep, const ReplicaMessage& msg)
   TryAdvanceCommit(rep);
 }
 
-void ReplicationGroup::OnStateChunk(Replica& rep, const ReplicaMessage& msg) {
+void ReplicationGroup::OnStateChunk(Replica& rep, ReplicaMessage& msg) {
   if (msg.epoch < rep.current_epoch) {
     return;
   }
@@ -861,15 +905,16 @@ void ReplicationGroup::OnStateChunk(Replica& rep, const ReplicaMessage& msg) {
     return;
   }
   rep.expected_chunk++;
-  rep.incoming_sessions.insert(rep.incoming_sessions.end(), msg.sessions.begin(),
-                               msg.sessions.end());
-  for (const auto& [key, value] : msg.kvs) {
+  rep.incoming_sessions.insert(rep.incoming_sessions.end(),
+                               std::make_move_iterator(msg.sessions.begin()),
+                               std::make_move_iterator(msg.sessions.end()));
+  for (auto& [key, value] : msg.kvs) {
     KvOperation put;
     put.opcode = Opcode::kPut;
-    put.key = key;
-    put.value = value;
+    put.key = std::move(key);
+    put.value = std::move(value);
     if (rep.server->Execute(put).code == ResultCode::kOk) {
-      rep.keys.insert(key);
+      rep.keys.insert(std::move(put.key));
     }
   }
   if ((msg.chunk_flags & kStateChunkLast) != 0) {
@@ -903,20 +948,21 @@ void ReplicationGroup::SendWindow(Replica& primary, uint32_t peer) {
     return;
   }
   KVD_CHECK(first <= primary.log.end() + 1);
-  ReplicaMessage msg =
+  ReplicaMessage header =
       MakeMessage(ReplicaMessageType::kAppend, primary.current_epoch, primary.id);
-  msg.first_index = first;
-  msg.prev_epoch = primary.log.EpochAt(first - 1);
-  msg.commit_index = primary.commit;
-  msg.leader_end = primary.log.end();
+  header.first_index = first;
+  header.prev_epoch = primary.log.EpochAt(first - 1);
+  header.commit_index = primary.commit;
+  header.leader_end = primary.log.end();
   constexpr uint32_t kMaxAppendEntries = 64;  // entries per kAppend window
-  msg.entries = primary.log.Window(first, kMaxAppendEntries);
-  primary.next[peer] = first + msg.entries.size();
+  const uint64_t count = primary.log.WindowSize(first, kMaxAppendEntries);
+  primary.next[peer] = first + count;
   stats_.appends_sent++;
-  stats_.entries_shipped += msg.entries.size();
+  stats_.entries_shipped += count;
   std::vector<uint64_t> traces;
   if (request_tracer().enabled()) {
-    for (const LogEntry& entry : msg.entries) {
+    for (uint64_t index = first; index < first + count; index++) {
+      const LogEntry& entry = primary.log.At(index);
       if (entry.client_sequence == 0) {
         continue;  // promotion barrier
       }
@@ -927,8 +973,10 @@ void ReplicationGroup::SendWindow(Replica& primary, uint32_t peer) {
       }
     }
   }
-  SendReplicaMessage(primary.id, peer, msg,
-                     traces.empty() ? nullptr : &traces);
+  // The window is encoded straight from the log into the frame that ships.
+  SendReplicaFrame(primary.id, peer,
+                   primary.log.EncodeWindow(header, first, count, kFrameHeaderBytes),
+                   traces.empty() ? nullptr : &traces);
 }
 
 void ReplicationGroup::TryAdvanceCommit(Replica& primary) {
@@ -962,11 +1010,11 @@ void ReplicationGroup::TryAdvanceCommit(Replica& primary) {
     // commits the whole inherited prefix with it once it reaches quorum.
     return;
   }
-  for (auto it = primary.append_time.begin();
-       it != primary.append_time.end() && it->first <= candidate;) {
-    propagation_lag_ns_.Add(
-        static_cast<uint64_t>((sim_.Now() - it->second) / kNanosecond));
-    it = primary.append_time.erase(it);
+  while (!primary.append_time.empty() &&
+         primary.append_time.front().first <= candidate) {
+    propagation_lag_ns_.Add(static_cast<uint64_t>(
+        (sim_.Now() - primary.append_time.front().second) / kNanosecond));
+    primary.append_time.pop_front();
   }
   const uint64_t previous_commit = primary.commit;
   primary.commit = candidate;
@@ -1049,15 +1097,14 @@ void ReplicationGroup::EvaluateGrayPeers(Replica& primary) {
   }
 }
 
-void ReplicationGroup::AppendToLog(Replica& rep,
-                                   const std::vector<LogEntry>& entries,
+void ReplicationGroup::AppendToLog(Replica& rep, std::vector<LogEntry>& entries,
                                    uint64_t first_index) {
   const uint64_t start = rep.log.end() + 1;
   for (size_t i = 0; i < entries.size(); i++) {
     if (first_index + i < start) {
       continue;  // duplicate from a retransmitted window
     }
-    rep.log.Append(entries[i]);
+    rep.log.Append(std::move(entries[i]));
   }
 }
 
@@ -1329,7 +1376,12 @@ void ReplicationGroup::BuildSnapshot(uint32_t primary_id, uint64_t transfer_epoc
       [this, primary_id, target](const SnapshotChunk& chunk) {
         stats_.state_transfer_bytes += chunk.bytes.size();
         stats_.state_transfer_kvs += chunk.kvs;
-        SendReplicaPayload(primary_id, target, chunk.bytes);
+        // The stream keeps its chunks, so each leaves in a framed copy.
+        std::vector<uint8_t> frame;
+        frame.reserve(kFrameHeaderBytes + chunk.bytes.size());
+        frame.resize(kFrameHeaderBytes);
+        frame.insert(frame.end(), chunk.bytes.begin(), chunk.bytes.end());
+        SendReplicaFrame(primary_id, target, std::move(frame));
       });
   // The chunks are fully materialized; writes parked during the drain can
   // resume without perturbing the cut.
@@ -1353,10 +1405,10 @@ void ReplicationGroup::ReleaseSnapshotDrain(Replica& rep) {
 }
 
 void ReplicationGroup::WipeState(Replica& rep) {
-  for (const auto& key : rep.keys) {
-    KvOperation del;
-    del.opcode = Opcode::kDelete;
-    del.key = key;
+  KvOperation del;
+  del.opcode = Opcode::kDelete;
+  for (const std::vector<uint8_t>* key : SortedKeys(rep.keys)) {
+    del.key = *key;
     rep.server->Execute(del);
   }
   rep.keys.clear();

@@ -50,10 +50,12 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/common/index_pool.h"
 #include "src/common/key_router.h"
 #include "src/common/stats.h"
 #include "src/core/kv_direct.h"
@@ -337,7 +339,9 @@ class ReplicationGroup {
     std::vector<uint64_t> match;
     std::vector<uint64_t> next;
     std::vector<PendingAck> pending;
-    std::map<uint64_t, SimTime> append_time;
+    // (log index, append time), in index order: appends only ever extend
+    // the log, and commit drains the front.
+    std::deque<std::pair<uint64_t, SimTime>> append_time;
     // Gray-failure tracking (primary bookkeeping, config.demote_lag_entries):
     // per-peer demoted flag, the start of the peer's current continuous
     // lagging stretch (0 = caught up), and the start of its current
@@ -388,9 +392,9 @@ class ReplicationGroup {
     std::vector<SessionRecord> incoming_sessions;
 
     // Shadow key set: the hash index has no enumeration, so the group tracks
-    // live keys per replica for snapshotting (std::set for deterministic
-    // order).
-    std::set<std::vector<uint8_t>> keys;
+    // live keys per replica for snapshotting. Hashed, because every write on
+    // every replica touches it; sorted where it is iterated (SortedKeys).
+    KeySet keys;
 
     // Below-log state mutations (cluster Load/Erase) that arrived while this
     // replica was crashed: value = upsert, nullopt = erase. Applied on
@@ -399,10 +403,30 @@ class ReplicationGroup {
     std::map<std::vector<uint8_t>, std::optional<std::vector<uint8_t>>>
         pending_state;
 
-    // Replicated session results: client sequence -> slot -> result, FIFO
-    // evicted. Identical on every replica holding the same log prefix.
-    std::map<uint64_t, std::map<uint16_t, KvResultMessage>> sessions;
+    // Replicated session results: client sequence -> (slot, result) sorted
+    // by slot, FIFO evicted in session_order. Identical on every replica
+    // holding the same log prefix. A request's write slots are few, so a
+    // sorted vector beats a tree per sequence.
+    using SessionSlots = std::vector<std::pair<uint16_t, KvResultMessage>>;
+    std::unordered_map<uint64_t, SessionSlots> sessions;
     std::deque<uint64_t> session_order;
+  };
+
+  // One client request executing on a replica: reads on any replica, writes
+  // on the primary. Requests live in a pool, and each op's completion
+  // captures only (group, request index, op slot), small enough for
+  // std::function to hold without a heap allocation. A write request keeps
+  // its ops until each retires into its log entry.
+  struct ClientRequest {
+    Replica* rep = nullptr;
+    uint64_t sequence = 0;
+    std::vector<KvOperation> ops;  // write requests only
+    std::vector<KvResultMessage> results;
+    size_t remaining = 0;  // submitted ops not yet retired
+    uint64_t needed_index = 0;
+    bool appended = false;
+    SimTime appended_at = 0;
+    std::function<void(std::vector<uint8_t>)> respond;
   };
 
   // --- client path ---
@@ -415,12 +439,21 @@ class ReplicationGroup {
   void ExecuteWrites(Replica& rep, uint64_t sequence,
                      std::vector<KvOperation> ops,
                      std::function<void(std::vector<uint8_t>)> respond);
+  // Claims a pooled request with `num_ops` result slots.
+  uint32_t NewRequest(Replica& rep, uint64_t sequence, size_t num_ops,
+                      std::function<void(std::vector<uint8_t>)> respond);
+  void OnReadRetired(uint32_t index, uint32_t slot, KvResultMessage result);
+  void OnWriteRetired(uint32_t index, uint32_t slot, KvResultMessage result);
+  // Every op of write request `index` has a result: frees the request,
+  // responds now if the covering log prefix is committed, parks the
+  // response otherwise, and ships the request's log entries.
+  void FinishWrites(uint32_t index);
   void RespondWrite(Replica& rep, uint64_t sequence, uint64_t needed_index,
                     std::vector<KvResultMessage> results,
                     const std::function<void(std::vector<uint8_t>)>& respond,
                     SimTime appended_at = 0);
   void AppendEffectiveWrite(Replica& rep, uint64_t sequence, uint16_t slot,
-                            const KvOperation& op, const KvResultMessage& result);
+                            KvOperation op, const KvResultMessage& result);
   void RecordSession(Replica& rep, uint64_t sequence, uint16_t slot,
                      const KvResultMessage& result);
   void TrackKey(Replica& rep, const KvOperation& op);
@@ -431,23 +464,25 @@ class ReplicationGroup {
   void DropInFlight(Replica& rep);  // step-down / crash: forget pending work
 
   // --- replication path ---
-  // `traces` (optional) records a kReplShip span per handle over the frame's
-  // wire flight (append windows carrying traced writes).
-  void SendReplicaMessage(uint32_t from, uint32_t to, const ReplicaMessage& msg,
-                          const std::vector<uint64_t>* traces = nullptr);
-  // Frames an encoded message at send time: frames share one sequence
-  // space, next_repl_sequence_.
-  void SendReplicaPayload(uint32_t from, uint32_t to,
-                          std::span<const uint8_t> payload,
-                          const std::vector<uint64_t>* traces = nullptr);
+  // Encodes `msg` after frame headroom and sends it (SendReplicaFrame).
+  void SendReplicaMessage(uint32_t from, uint32_t to, const ReplicaMessage& msg);
+  // Seals `frame` (an encoded message after kFrameHeaderBytes of headroom)
+  // in place at send time and puts it on `to`'s inbound link: frames share
+  // one sequence space, next_repl_sequence_. `traces` (optional) records a
+  // kReplShip span per handle over the frame's wire flight (append windows
+  // carrying traced writes).
+  void SendReplicaFrame(uint32_t from, uint32_t to, std::vector<uint8_t> frame,
+                        const std::vector<uint64_t>* traces = nullptr);
   void OnReplicaFrame(uint32_t to, std::vector<uint8_t> packet);
-  void OnAppend(Replica& rep, const ReplicaMessage& msg);
+  // The handlers that keep message contents (entries, snapshot KVs and
+  // sessions) move them out of `msg`.
+  void OnAppend(Replica& rep, ReplicaMessage& msg);
   void OnAppendAck(Replica& rep, const ReplicaMessage& msg);
   void OnPromoteQuery(Replica& rep, const ReplicaMessage& msg);
   void OnPromoteReply(Replica& rep, const ReplicaMessage& msg);
   void OnPromote(Replica& rep, const ReplicaMessage& msg);
   void OnCatchupRequest(Replica& rep, const ReplicaMessage& msg);
-  void OnStateChunk(Replica& rep, const ReplicaMessage& msg);
+  void OnStateChunk(Replica& rep, ReplicaMessage& msg);
 
   void PushAppends(Replica& primary);  // send a window to every peer
   void SendWindow(Replica& primary, uint32_t peer);
@@ -456,9 +491,9 @@ class ReplicationGroup {
   // whose replication lag exceeded demote_lag_entries for demote_grace, and
   // reinstates demoted peers that caught back up.
   void EvaluateGrayPeers(Replica& primary);
-  // Appends a received window to the log (skipping already-held entries);
+  // Moves a received window into the log (skipping already-held entries);
   // application happens separately, at commit time.
-  void AppendToLog(Replica& rep, const std::vector<LogEntry>& entries,
+  void AppendToLog(Replica& rep, std::vector<LogEntry>& entries,
                    uint64_t first_index);
   // Submits log entries (applied, target] to the store in log order.
   void ApplyThrough(Replica& rep, uint64_t target);
@@ -503,6 +538,7 @@ class ReplicationGroup {
   LoadListener load_listener_;
   CommitListener commit_listener_;
   std::vector<std::unique_ptr<Replica>> replicas_;
+  IndexPool<ClientRequest> requests_;
   uint32_t primary_view_ = 0;
   uint64_t next_client_id_ = 0;
   uint64_t next_repl_sequence_ = 0;

@@ -19,20 +19,35 @@ void MoveSlice(std::vector<T>& from, size_t first, size_t n, std::vector<T>& to)
 
 }  // namespace
 
-std::vector<SnapshotKv> SnapshotStream::Cut(
-    KvDirectServer& server, const std::set<std::vector<uint8_t>>& keys,
-    const KeyRouter* router, uint32_t partition) {
+std::vector<const std::vector<uint8_t>*> SortedKeys(const KeySet& keys,
+                                                    const KeyRouter* router,
+                                                    uint32_t partition) {
+  std::vector<const std::vector<uint8_t>*> sorted;
+  sorted.reserve(router == nullptr ? keys.size() : 0);
+  for (const auto& key : keys) {
+    if (router == nullptr || router->PartitionOf(key) == partition) {
+      sorted.push_back(&key);
+    }
+  }
+  std::sort(sorted.begin(), sorted.end(),
+            [](const std::vector<uint8_t>* a, const std::vector<uint8_t>* b) {
+              return *a < *b;
+            });
+  return sorted;
+}
+
+std::vector<SnapshotKv> SnapshotStream::Cut(KvDirectServer& server,
+                                            const KeySet& keys,
+                                            const KeyRouter* router,
+                                            uint32_t partition) {
   std::vector<SnapshotKv> kvs;
   KvOperation get;
   get.opcode = Opcode::kGet;
-  for (const auto& key : keys) {
-    if (router != nullptr && router->PartitionOf(key) != partition) {
-      continue;
-    }
-    get.key = key;
+  for (const std::vector<uint8_t>* key : SortedKeys(keys, router, partition)) {
+    get.key = *key;
     KvResultMessage value = server.Execute(get);
     if (value.code == ResultCode::kOk) {
-      kvs.emplace_back(key, std::move(value.value));
+      kvs.emplace_back(*key, std::move(value.value));
     }
   }
   return kvs;

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "src/common/assert.h"
 #include "src/common/hashing.h"
 
 namespace kvd {
@@ -19,14 +20,18 @@ uint32_t FrameChecksum(uint64_t sequence, std::span<const uint8_t> payload) {
 std::vector<uint8_t> FramePacket(uint64_t sequence, std::span<const uint8_t> payload) {
   std::vector<uint8_t> out;
   out.reserve(kFrameHeaderBytes + payload.size());
-  const size_t at = out.size();
-  out.resize(at + 8);
-  std::memcpy(out.data() + at, &sequence, 8);
-  const uint32_t checksum = FrameChecksum(sequence, payload);
-  out.resize(at + 12);
-  std::memcpy(out.data() + at + 8, &checksum, 4);
+  out.resize(kFrameHeaderBytes);
   out.insert(out.end(), payload.begin(), payload.end());
+  SealFrame(sequence, out);
   return out;
+}
+
+void SealFrame(uint64_t sequence, std::span<uint8_t> buffer) {
+  KVD_CHECK(buffer.size() >= kFrameHeaderBytes);
+  const uint32_t checksum =
+      FrameChecksum(sequence, buffer.subspan(kFrameHeaderBytes));
+  std::memcpy(buffer.data(), &sequence, 8);
+  std::memcpy(buffer.data() + 8, &checksum, 4);
 }
 
 Result<Frame> ParseFrame(std::span<const uint8_t> packet) {
@@ -37,11 +42,10 @@ Result<Frame> ParseFrame(std::span<const uint8_t> packet) {
   uint32_t checksum;
   std::memcpy(&frame.sequence, packet.data(), 8);
   std::memcpy(&checksum, packet.data() + 8, 4);
-  const std::span<const uint8_t> payload = packet.subspan(kFrameHeaderBytes);
-  if (checksum != FrameChecksum(frame.sequence, payload)) {
+  frame.payload = packet.subspan(kFrameHeaderBytes);
+  if (checksum != FrameChecksum(frame.sequence, frame.payload)) {
     return Status::InvalidArgument("frame checksum mismatch");
   }
-  frame.payload.assign(payload.begin(), payload.end());
   return frame;
 }
 

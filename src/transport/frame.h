@@ -20,6 +20,10 @@
 // not in this header: a retransmitted frame must stay byte-identical to the
 // original so the server replay cache and checksum keep working, which rules
 // out restamping anything at the framing layer.
+//
+// Both directions avoid copying payloads: a sender that encodes its payload
+// after kFrameHeaderBytes of headroom seals the frame in place (SealFrame),
+// and ParseFrame returns a view into the packet it verified.
 #ifndef SRC_TRANSPORT_FRAME_H_
 #define SRC_TRANSPORT_FRAME_H_
 
@@ -35,9 +39,15 @@ inline constexpr size_t kFrameHeaderBytes = 12;
 
 std::vector<uint8_t> FramePacket(uint64_t sequence, std::span<const uint8_t> payload);
 
+// Fills in the header of `buffer`, whose payload already follows
+// kFrameHeaderBytes of headroom: the result equals
+// FramePacket(sequence, buffer.subspan(kFrameHeaderBytes)).
+void SealFrame(uint64_t sequence, std::span<uint8_t> buffer);
+
+// A verified frame. `payload` views the parsed packet, which must outlive it.
 struct Frame {
   uint64_t sequence = 0;
-  std::vector<uint8_t> payload;
+  std::span<const uint8_t> payload;
 };
 
 // Verifies the checksum; kInvalidArgument on truncation or corruption.

@@ -43,8 +43,9 @@ class FrameEndpoint {
   FrameEndpoint(Simulator& sim, ReplayCache::Config config)
       : cache_(sim, config) {}
 
-  // Parses `packet` and classifies its sequence. Returns the frame when the
-  // owner should execute it; nullopt when the endpoint already handled it
+  // Parses `packet` and classifies its sequence. Returns the frame (its
+  // payload a view into `packet`) when the owner should execute it; nullopt
+  // when the endpoint already handled it
   // (corrupt frame dropped, replay answered via `respond`, or in-flight
   // duplicate dropped). Does NOT admit — the owner decides that (control
   // responses are never admitted).

@@ -106,7 +106,7 @@ void ReliableSender::Fail(const PacketPtr& packet) {
   on_fail_(packet);
 }
 
-std::optional<std::vector<uint8_t>> ReliableSender::AcceptResponse(
+std::optional<std::span<const uint8_t>> ReliableSender::AcceptResponse(
     const PacketPtr& packet, std::span<const uint8_t> response) {
   if (packet->completed) {
     stats_->duplicate_responses++;  // injected duplicate or late retransmit
@@ -124,7 +124,7 @@ std::optional<std::vector<uint8_t>> ReliableSender::AcceptResponse(
     retry_tokens_ = std::min(static_cast<double>(policy_.retry_budget),
                              retry_tokens_ + kRetryRefillPerSuccess);
   }
-  return std::move(frame->payload);
+  return frame->payload;
 }
 
 }  // namespace kvd

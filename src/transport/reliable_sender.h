@@ -143,9 +143,10 @@ class ReliableSender {
   }
 
   // Response admission: drops duplicates (a completed packet) and corrupt or
-  // foreign frames, counting them. Returns the frame payload for the owner
-  // to decode, or nullopt when the response was consumed here.
-  std::optional<std::vector<uint8_t>> AcceptResponse(
+  // foreign frames, counting them. Returns the frame payload (a view into
+  // `response`) for the owner to decode, or nullopt when the response was
+  // consumed here.
+  std::optional<std::span<const uint8_t>> AcceptResponse(
       const PacketPtr& packet, std::span<const uint8_t> response);
 
   // For owner-side decode failures after AcceptResponse succeeded (the frame

@@ -7,16 +7,26 @@
 // its result value, and a contended burst of multi-TLP DMA reads allocates
 // nothing. A counting global operator new measures every allocation in the
 // process inside the counted window.
+//
+// The replicated write path is not allocation-free yet (frames, log entries,
+// session records and replay-cache copies are heap objects); its test pins
+// the count one warm replicated PUT reaches, so a new per-write copy on the
+// replication hop fails it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <vector>
 
 #include "src/core/kv_direct.h"
+#include "src/net/wire_format.h"
 #include "src/pcie/dma_engine.h"
+#include "src/replica/replica_wire.h"
+#include "src/replica/replication_group.h"
 #include "src/sim/simulator.h"
+#include "src/transport/frame.h"
 
 namespace {
 
@@ -180,6 +190,63 @@ TEST(AllocFreeDmaTest, ContendedMultiTlpReadBurstAllocatesNothing) {
   EXPECT_EQ(completed, 2u * kReads);
   EXPECT_GT(dma.tag_pool().total_waits(), 0u);
   EXPECT_EQ(allocations, 0u);
+}
+
+// One framed single-PUT GroupRequest under `sequence`, built outside any
+// counted window.
+std::vector<uint8_t> PutFrame(uint64_t sequence, uint64_t id, uint8_t fill) {
+  KvOperation put;
+  put.opcode = Opcode::kPut;
+  put.key = KeyBytes(id);
+  put.value = ValueBytes(fill);
+  PacketBuilder builder;
+  EXPECT_TRUE(builder.Add(put));
+  GroupRequest request;
+  request.ops_payload = builder.Finish();
+  return FramePacket(sequence, EncodeGroupRequest(request));
+}
+
+TEST(AllocFreeReplicationTest, WarmReplicatedPutAllocationsArePinned) {
+  ReplicationConfig config;
+  config.num_replicas = 3;
+  config.server = MidServerConfig();
+  ReplicationGroup group(config);
+  Simulator& sim = group.simulator();
+  for (uint64_t id = 0; id < 64; id++) {
+    ASSERT_TRUE(group.Load(KeyBytes(id), ValueBytes(1)).ok());
+  }
+  const uint64_t base = group.AcquireClientSequenceBase();
+  // Heartbeat ticks run every 200 us from t = 0; each PUT starts 50 us past
+  // one, so its whole round trip (a few us) stays clear of heartbeat traffic.
+  constexpr SimTime kTick = 200 * kMicrosecond;
+  uint64_t acked_allocations = 0;
+  bool acked = false;
+  auto put = [&](uint64_t n) {
+    sim.RunUntil((sim.Now() / kTick + 1) * kTick + 50 * kMicrosecond);
+    std::vector<uint8_t> frame = PutFrame(base + n, n % 8, static_cast<uint8_t>(n));
+    std::function<void(std::vector<uint8_t>)> respond =
+        [&](std::vector<uint8_t>) {
+          acked_allocations = g_allocations;
+          acked = true;
+        };
+    acked = false;
+    {
+      AllocationWindow window;
+      group.DeliverClientFrame(0, std::move(frame), std::move(respond));
+      while (!acked) {
+        ASSERT_TRUE(sim.Step());
+      }
+    }
+  };
+  // Warm every pool, ring, log deque block and hash bucket on the path; the
+  // last PUT's count is the one pinned.
+  for (uint64_t n = 0; n <= 64; n++) {
+    put(n);
+  }
+  EXPECT_EQ(group.commit_index(), 65u);
+  // The count from DeliverClientFrame to the quorum ack, pinned where the
+  // copy-free hop left it (the copying hop made 86).
+  EXPECT_LE(acked_allocations, 38u);
 }
 
 }  // namespace

@@ -131,7 +131,8 @@ TEST(FrameTest, RoundTripsSequenceAndPayload) {
   Result<Frame> frame = ParseFrame(packet);
   ASSERT_TRUE(frame.ok());
   EXPECT_EQ(frame->sequence, 0xdeadbeef12345678ull);
-  EXPECT_EQ(frame->payload, payload);
+  EXPECT_EQ(std::vector<uint8_t>(frame->payload.begin(), frame->payload.end()),
+            payload);
 
   // Empty payload is legal (an empty response packet).
   Result<Frame> empty = ParseFrame(FramePacket(9, {}));

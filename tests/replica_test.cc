@@ -25,6 +25,7 @@
 #include "src/replica/replicated_client.h"
 #include "src/replica/replication_group.h"
 #include "src/replica/snapshot_stream.h"
+#include "src/transport/frame.h"
 
 namespace kvd {
 namespace {
@@ -139,7 +140,9 @@ TEST(ReplicaWireTest, EveryTypeRoundTripsAndJunkIsRejected) {
     }
   }
   // Unknown type byte, truncation, and trailing garbage must all error.
-  EXPECT_FALSE(DecodeReplicaMessage({kMaxReplicaMessageType + 1, 0, 0}).ok());
+  EXPECT_FALSE(DecodeReplicaMessage(
+                   std::vector<uint8_t>{kMaxReplicaMessageType + 1, 0, 0})
+                   .ok());
   ReplicaMessage ack;
   ack.type = ReplicaMessageType::kAppendAck;
   std::vector<uint8_t> bytes = EncodeReplicaMessage(ack);
@@ -180,6 +183,69 @@ TEST(ReplicaWireTest, GroupRequestResponseRoundTrip) {
 
 // --- the log ---
 
+TEST(ReplicaWireTest, WindowFromLogMatchesMessageEncoding) {
+  // A trimmed log (base 20) of 100 entries mixing every entry shape a window
+  // carries: a promotion barrier (client_sequence 0), a delete, results with
+  // and without a value, and values of several sizes.
+  ReplicaLog log;
+  for (uint64_t i = 1; i <= 120; i++) {
+    LogEntry entry;
+    entry.epoch = i < 60 ? 4 : 5;
+    entry.client_sequence = (9ull << 40) + i;
+    entry.slot = static_cast<uint16_t>(i % 3);
+    entry.op = Put(i, i * 7);
+    entry.op.value.resize(8 + (i % 5) * 13, static_cast<uint8_t>(i));
+    entry.result.code = ResultCode::kOk;
+    entry.result.scalar = i;
+    if (i == 60) {  // promotion barrier of epoch 5
+      entry.client_sequence = 0;
+      entry.slot = 0;
+      entry.op = Get(0);
+      entry.op.key.assign(8, 0);
+      entry.result = KvResultMessage{};
+    } else if (i == 61) {
+      entry.op.opcode = Opcode::kDelete;
+      entry.op.value.clear();
+    } else if (i == 62) {
+      entry.result.value = U64Value(0xabcdef);
+    }
+    log.Append(entry);
+  }
+  log.Trim(100);
+  ASSERT_EQ(log.base(), 20u);
+
+  struct Case {
+    uint64_t first;
+    uint32_t max_entries;
+    uint64_t count;
+  };
+  for (const Case& c : {Case{121, 64, 0}, Case{61, 1, 1}, Case{30, 64, 64}}) {
+    const uint64_t count = log.WindowSize(c.first, c.max_entries);
+    ASSERT_EQ(count, c.count) << "window at " << c.first;
+    ReplicaMessage msg;
+    msg.type = ReplicaMessageType::kAppend;
+    msg.epoch = 5;
+    msg.sender = 2;
+    msg.first_index = c.first;
+    msg.prev_epoch = log.EpochAt(c.first - 1);
+    msg.commit_index = 90;
+    msg.leader_end = log.end();
+    const uint64_t sequence = 0x1234567890ull + c.first;
+    std::vector<uint8_t> in_place =
+        log.EncodeWindow(msg, c.first, count, kFrameHeaderBytes);
+    SealFrame(sequence, in_place);
+    for (uint64_t index = c.first; index < c.first + count; index++) {
+      msg.entries.push_back(log.At(index));
+    }
+    EXPECT_EQ(in_place, FramePacket(sequence, EncodeReplicaMessage(msg)))
+        << "window of " << count << " entries at " << c.first;
+    // Headroom-encoded messages seal to the same frame as well.
+    std::vector<uint8_t> headroom = EncodeReplicaMessage(msg, kFrameHeaderBytes);
+    SealFrame(sequence, headroom);
+    EXPECT_EQ(headroom, in_place);
+  }
+}
+
 TEST(ReplicaLogTest, IndicesTrimAndSnapshotReset) {
   ReplicaLog log;
   EXPECT_EQ(log.end(), 0u);
@@ -192,9 +258,9 @@ TEST(ReplicaLogTest, IndicesTrimAndSnapshotReset) {
   EXPECT_EQ(log.end(), 10u);
   EXPECT_EQ(log.EpochAt(5), 1u);
   EXPECT_EQ(log.EpochAt(6), 2u);
-  EXPECT_EQ(log.Window(8, 64).size(), 3u);
-  EXPECT_EQ(log.Window(11, 64).size(), 0u);
-  EXPECT_EQ(log.Window(1, 4).size(), 4u);
+  EXPECT_EQ(log.WindowSize(8, 64), 3u);
+  EXPECT_EQ(log.WindowSize(11, 64), 0u);
+  EXPECT_EQ(log.WindowSize(1, 4), 4u);
 
   log.Trim(4);
   EXPECT_EQ(log.base(), 6u);

@@ -52,7 +52,8 @@ TEST(FrameTest, RoundTrip) {
   Result<Frame> frame = ParseFrame(packet);
   ASSERT_TRUE(frame.ok());
   EXPECT_EQ(frame->sequence, 42u);
-  EXPECT_EQ(frame->payload, payload);
+  EXPECT_EQ(std::vector<uint8_t>(frame->payload.begin(), frame->payload.end()),
+            payload);
 }
 
 TEST(FrameTest, EveryBitFlipIsDetected) {
