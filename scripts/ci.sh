@@ -9,7 +9,8 @@
 #      stream, group responses must be decoded by the one group-client
 #      engine, each owner must build one telemetry stack, each
 #      request-path value must have one setting, a cluster packet must be
-#      framed without a scan, and the replication hop must not copy;
+#      framed without a scan, the replication hop must not copy, and
+#      replica key sets must come from the hash index;
 #   2. configure + build (default flags) and run the full ctest suite;
 #   3. golden determinism — the benchmark --golden rows must match the
 #      checked-in bench/golden/*.json byte for byte;
@@ -142,6 +143,20 @@ copies=$(grep -nE 'FramePacket\(|\.Window\(' src/replica/replication_group.cc ||
 if [[ -n "${copies}" ]]; then
   echo "copying call found on the replication hop:" >&2
   echo "${copies}" >&2
+  exit 1
+fi
+
+echo "=== layering guard: key sets from the hash index ==="
+# A replica's keys are listed from its store's hash index (HashIndex::Keys,
+# DESIGN.md §9), and the client's watermarks are hashed. A shadow key set
+# updated on every write, or an ordered watermark tree, brings the per-write
+# bookkeeping back.
+shadows=$({ grep -rnE '\bKeySet\b|\bTrackKey\b|\bkeys\.(insert|erase)\(' src/replica
+            grep -HnE 'std::map<std::vector<uint8_t>, *Watermark>' src/replica/group_client.h
+          } || true)
+if [[ -n "${shadows}" ]]; then
+  echo "per-write key bookkeeping found:" >&2
+  echo "${shadows}" >&2
   exit 1
 fi
 

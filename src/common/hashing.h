@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace kvd {
 
@@ -49,6 +50,11 @@ struct KeyHash {
 inline KeyHash HashKey(std::span<const uint8_t> key) {
   return KeyHash{HashBytes(key)};
 }
+
+// Hasher for containers keyed by owned key bytes.
+struct KeyBytesHash {
+  size_t operator()(const std::vector<uint8_t>& key) const { return HashBytes(key); }
+};
 
 // Address hash deciding DRAM cacheability (paper §3.3.4): the dispatcher
 // caches 64-byte lines whose address hash falls below the dispatch ratio.

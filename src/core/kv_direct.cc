@@ -174,7 +174,7 @@ void KvDirectServer::DeliverFrame(std::vector<uint8_t> packet,
 }
 
 KvResultMessage KvDirectServer::Execute(const KvOperation& op) {
-  return runtime_.processor().ExecuteFunctional(op);
+  return runtime_.processor().ExecuteFunctional(op, HashKey(op.key));
 }
 
 Status KvDirectServer::Load(std::span<const uint8_t> key,

@@ -49,27 +49,26 @@ KvProcessor::KvProcessor(Simulator& sim, HashIndex& index,
   KVD_CHECK(config.clock_hz > 0);
 }
 
-KvResultMessage KvProcessor::ExecuteFunctional(const KvOperation& op) {
+KvResultMessage KvProcessor::ExecuteFunctional(const KvOperation& op,
+                                               const KeyHash& kh) {
   KvResultMessage result;
   switch (op.opcode) {
     case Opcode::kGet: {
-      result.code = ToResultCode(index_.Get(op.key, result.value));
+      result.code = ToResultCode(index_.Get(op.key, kh, result.value));
       break;
     }
     case Opcode::kPut: {
-      result.code = ToResultCode(index_.Put(op.key, op.value));
+      result.code = ToResultCode(index_.Put(op.key, kh, op.value));
       break;
     }
     case Opcode::kDelete: {
-      result.code = ToResultCode(index_.Delete(op.key));
+      result.code = ToResultCode(index_.Delete(op.key, kh));
       break;
     }
     case Opcode::kUpdateScalar: {
       Status inner = Status::Ok();
-      std::vector<uint8_t> original;
       const Status status = index_.UpdateInPlace(
-          op.key,
-          [&](std::vector<uint8_t>& value) {
+          op.key, kh, [&](std::vector<uint8_t>& value) {
             Result<uint64_t> r =
                 registry_.ApplyScalar(op.function_id, value, op.param,
                                       op.element_width);
@@ -78,19 +77,22 @@ KvResultMessage KvProcessor::ExecuteFunctional(const KvOperation& op) {
             } else {
               result.scalar = *r;
             }
-          },
-          &original);
+          });
       result.code = ToResultCode(status.ok() ? inner : status);
       break;
     }
-    case Opcode::kUpdateScalarVector: {
+    case Opcode::kUpdateScalarVector:
+    case Opcode::kUpdateVector: {
       Status inner = Status::Ok();
       std::vector<uint8_t> original;
       const Status status = index_.UpdateInPlace(
-          op.key,
+          op.key, kh,
           [&](std::vector<uint8_t>& value) {
-            inner = registry_.ApplyScalarToVector(op.function_id, value, op.param,
-                                                  op.element_width);
+            inner = op.opcode == Opcode::kUpdateVector
+                        ? registry_.ApplyVectorToVector(op.function_id, value,
+                                                        op.value, op.element_width)
+                        : registry_.ApplyScalarToVector(op.function_id, value,
+                                                        op.param, op.element_width);
           },
           &original);
       result.code = ToResultCode(status.ok() ? inner : status);
@@ -99,25 +101,9 @@ KvResultMessage KvProcessor::ExecuteFunctional(const KvOperation& op) {
       }
       break;
     }
-    case Opcode::kUpdateVector: {
-      Status inner = Status::Ok();
-      std::vector<uint8_t> original;
-      const Status status = index_.UpdateInPlace(
-          op.key,
-          [&](std::vector<uint8_t>& value) {
-            inner = registry_.ApplyVectorToVector(op.function_id, value, op.value,
-                                                  op.element_width);
-          },
-          &original);
-      result.code = ToResultCode(status.ok() ? inner : status);
-      if (result.code == ResultCode::kOk) {
-        result.value = std::move(original);
-      }
-      break;
-    }
     case Opcode::kReduce: {
       std::vector<uint8_t> value;
-      const Status status = index_.Get(op.key, value);
+      const Status status = index_.Get(op.key, kh, value);
       if (!status.ok()) {
         result.code = ToResultCode(status);
         break;
@@ -132,7 +118,7 @@ KvResultMessage KvProcessor::ExecuteFunctional(const KvOperation& op) {
     }
     case Opcode::kFilter: {
       std::vector<uint8_t> value;
-      const Status status = index_.Get(op.key, value);
+      const Status status = index_.Get(op.key, kh, value);
       if (!status.ok()) {
         result.code = ToResultCode(status);
         break;
@@ -297,7 +283,7 @@ void KvProcessor::Pump() {
         slab_sync_stats_ != nullptr ? slab_sync_stats_->sync_dma_reads : 0;
     const uint64_t sync_writes_before =
         slab_sync_stats_ != nullptr ? slab_sync_stats_->sync_dma_writes : 0;
-    inflight.result = ExecuteFunctional(inflight.op);
+    inflight.result = ExecuteFunctional(inflight.op, kh);
     if (!inflight.op.return_value) {
       inflight.result.value.clear();  // caller declined the original vector
     }

@@ -89,8 +89,9 @@ class KvProcessor {
   // kControl so they are never load-shed).
   void Submit(KvOperation op, Completion done, OpClass cls);
 
-  // Pure functional execution, no simulation (tests, warm-up fills).
-  KvResultMessage ExecuteFunctional(const KvOperation& op);
+  // Pure functional execution of `op`, whose key hashes to `kh`, with no
+  // simulation (tests, warm-up fills, and each op at admission).
+  KvResultMessage ExecuteFunctional(const KvOperation& op, const KeyHash& kh);
 
   // Attaches the slab allocator's sync counters so pool synchronization DMAs
   // are charged to the operations that trigger them.

@@ -108,6 +108,7 @@ class NodeRuntime {
   UpdateFunctionRegistry& registry() { return registry_; }
   FaultInjector& faults() { return *fault_; }
   const ServerConfig& config() const { return config_; }
+  const HostMemory& memory() const { return *memory_; }
   const AccessStats& memory_stats() const { return direct_engine_->stats(); }
   const MetricRegistry& metrics() const { return metrics_; }
   // Mutable registry for the embedding server's own counters (the transport

@@ -245,9 +245,10 @@ std::optional<HashIndex::Location> HashIndex::Find(std::span<const uint8_t> key,
   }
 }
 
-Status HashIndex::Get(std::span<const uint8_t> key, std::vector<uint8_t>& value_out) {
+Status HashIndex::Get(std::span<const uint8_t> key, const KeyHash& kh,
+                      std::vector<uint8_t>& value_out) {
   stats_.gets++;
-  if (Find(key, HashKey(key), &value_out).has_value()) {
+  if (Find(key, kh, &value_out).has_value()) {
     return Status::Ok();
   }
   return Status::NotFound();
@@ -377,7 +378,8 @@ Status HashIndex::Insert(std::span<const uint8_t> key, const KeyHash& kh,
   return Status::Ok();
 }
 
-Status HashIndex::Put(std::span<const uint8_t> key, std::span<const uint8_t> value) {
+Status HashIndex::Put(std::span<const uint8_t> key, const KeyHash& kh,
+                      std::span<const uint8_t> value) {
   stats_.puts++;
   if (key.empty() || key.size() > kMaxKeyBytes) {
     return Status::InvalidArgument("key size");
@@ -392,7 +394,6 @@ Status HashIndex::Put(std::span<const uint8_t> key, std::span<const uint8_t> val
     return Status::InvalidArgument("value size");
   }
 
-  const KeyHash kh = HashKey(key);
   walked_.clear();
   std::optional<Location> loc = Find(key, kh, nullptr, &walked_);
   if (!loc.has_value()) {
@@ -426,11 +427,11 @@ Status HashIndex::Put(std::span<const uint8_t> key, std::span<const uint8_t> val
   return Insert(key, kh, value, walked_);
 }
 
-Status HashIndex::UpdateInPlace(std::span<const uint8_t> key,
+Status HashIndex::UpdateInPlace(std::span<const uint8_t> key, const KeyHash& kh,
                                 const ValueUpdater& updater,
                                 std::vector<uint8_t>* original_out) {
   std::vector<uint8_t> value;
-  std::optional<Location> loc = Find(key, HashKey(key), &value);
+  std::optional<Location> loc = Find(key, kh, &value);
   if (!loc.has_value()) {
     return Status::NotFound();
   }
@@ -481,9 +482,9 @@ void HashIndex::RemoveAt(Location& loc) {
   WriteBucket(loc.bucket_address, loc.bucket);
 }
 
-Status HashIndex::Delete(std::span<const uint8_t> key) {
+Status HashIndex::Delete(std::span<const uint8_t> key, const KeyHash& kh) {
   stats_.deletes++;
-  std::optional<Location> loc = Find(key, HashKey(key));
+  std::optional<Location> loc = Find(key, kh);
   if (!loc.has_value()) {
     return Status::NotFound();
   }
@@ -493,6 +494,36 @@ Status HashIndex::Delete(std::span<const uint8_t> key) {
 
 bool HashIndex::Contains(std::span<const uint8_t> key) {
   return Find(key, HashKey(key)).has_value();
+}
+
+std::vector<std::vector<uint8_t>> HashIndex::Keys(const HostMemory& memory) const {
+  std::vector<std::vector<uint8_t>> keys;
+  keys.reserve(num_kvs_);
+  for (uint64_t head = 0; head < num_buckets_; head++) {
+    uint64_t address = index_base_ + head * kBucketBytes;
+    // Most head buckets of a sparse index are vacant: skip them uncopied.
+    bool more = !BucketView::IsVacant(memory.Span(address, kBucketBytes));
+    while (more) {
+      const BucketView bucket(memory.Span(address, kBucketBytes));
+      for (const ParsedEntry& entry : ParseEntries(bucket)) {
+        std::span<const uint8_t> key;
+        if (entry.is_inline) {
+          key = bucket.raw().subspan(entry.slot * kSlotBytes + kInlineHeaderBytes,
+                                     entry.klen);
+        } else {
+          const uint64_t slab = bucket.GetPointerSlot(entry.slot).address;
+          uint16_t klen;
+          std::memcpy(&klen, memory.Span(slab, sizeof(klen)).data(), sizeof(klen));
+          key = memory.Span(slab + kSlabHeaderBytes, klen);
+        }
+        keys.emplace_back(key.begin(), key.end());
+      }
+      more = bucket.HasChain();
+      address = more ? bucket.ChainAddress() : 0;
+    }
+  }
+  KVD_CHECK_MSG(keys.size() == num_kvs_, "key walk disagrees with the KV count");
+  return keys;
 }
 
 void HashIndex::RegisterMetrics(MetricRegistry& registry) const {

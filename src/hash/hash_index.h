@@ -25,6 +25,7 @@
 #include "src/common/status.h"
 #include "src/hash/hash_index_layout.h"
 #include "src/mem/access_engine.h"
+#include "src/mem/host_memory.h"
 #include "src/obs/metric_registry.h"
 
 namespace kvd {
@@ -63,25 +64,42 @@ class HashIndex {
   // The allocator must manage exactly the heap region from ComputeRegions().
   HashIndex(AccessEngine& engine, Allocator& allocator, const HashIndexConfig& config);
 
-  // Reads the value of `key` into `value_out`.
-  Status Get(std::span<const uint8_t> key, std::vector<uint8_t>& value_out);
+  // Reads the value of `key`, whose hash is `kh`, into `value_out`. Every
+  // operation takes the hash the KV processor computed at submission; the
+  // key-only forms hash and forward.
+  Status Get(std::span<const uint8_t> key, const KeyHash& kh,
+             std::vector<uint8_t>& value_out);
+  Status Get(std::span<const uint8_t> key, std::vector<uint8_t>& value_out) {
+    return Get(key, HashKey(key), value_out);
+  }
 
   // Inserts or replaces `key` with `value`.
-  Status Put(std::span<const uint8_t> key, std::span<const uint8_t> value);
+  Status Put(std::span<const uint8_t> key, const KeyHash& kh,
+             std::span<const uint8_t> value);
+  Status Put(std::span<const uint8_t> key, std::span<const uint8_t> value) {
+    return Put(key, HashKey(key), value);
+  }
 
   // Removes `key`.
-  Status Delete(std::span<const uint8_t> key);
+  Status Delete(std::span<const uint8_t> key, const KeyHash& kh);
+  Status Delete(std::span<const uint8_t> key) { return Delete(key, HashKey(key)); }
 
   // Atomic read-modify-write used by the KV processor's atomics and vector
   // update paths: reads the value, applies `updater` (which must preserve the
   // value's size), and writes it back in place — one read plus one write.
   // `original_out`, when non-null, receives the pre-update value.
   using ValueUpdater = std::function<void(std::vector<uint8_t>& value)>;
-  Status UpdateInPlace(std::span<const uint8_t> key, const ValueUpdater& updater,
+  Status UpdateInPlace(std::span<const uint8_t> key, const KeyHash& kh,
+                       const ValueUpdater& updater,
                        std::vector<uint8_t>* original_out = nullptr);
 
   // True if `key` is present (same cost as Get without the value copy).
   bool Contains(std::span<const uint8_t> key);
+
+  // Every stored key, in bucket order, read from `memory` (the arena behind
+  // the engine) directly: no AccessStats, trace or HashIndexStats counter
+  // sees the walk.
+  std::vector<std::vector<uint8_t>> Keys(const HostMemory& memory) const;
 
   uint64_t num_buckets() const { return num_buckets_; }
   uint64_t num_kvs() const { return num_kvs_; }

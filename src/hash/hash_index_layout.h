@@ -151,6 +151,16 @@ class BucketView {
     return (kInlineHeaderBytes + kv_bytes + kSlotBytes - 1) / kSlotBytes;
   }
 
+  // True if the bucket image `raw` holds no entry and no chain, judged from
+  // its type and chain words without copying it.
+  static bool IsVacant(std::span<const uint8_t> raw) {
+    uint32_t types;
+    uint32_t chain;
+    std::memcpy(&types, raw.data() + 50, sizeof(types));
+    std::memcpy(&chain, raw.data() + 56, sizeof(chain));
+    return (types & 0x3fffffffu) == 0 && (chain >> 31) == 0;
+  }
+
   // Count of empty slots in the bucket.
   uint32_t FreeSlots() const {
     uint32_t free = 0;

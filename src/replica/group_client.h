@@ -24,12 +24,13 @@
 #define SRC_REPLICA_GROUP_CLIENT_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/common/hashing.h"
 #include "src/replica/replica_wire.h"
 #include "src/replica/replication_group.h"
 #include "src/transport/kv_endpoint.h"
@@ -176,9 +177,9 @@ class GroupClient : public KvEndpoint {
   // Fails the packet's ops as ambiguous (kTimedOut) without re-sending.
   void Abort(const PacketPtr& packet);
   uint32_t& BelievedPrimary(uint32_t group);
-  const std::map<std::vector<uint8_t>, Watermark>& watermarks() const {
-    return watermarks_;
-  }
+  using Watermarks =
+      std::unordered_map<std::vector<uint8_t>, Watermark, KeyBytesHash>;
+  const Watermarks& watermarks() const { return watermarks_; }
 
   Stats stats_;
 
@@ -193,9 +194,9 @@ class GroupClient : public KvEndpoint {
   std::vector<KvOperation> pending_;
   uint64_t next_sequence_;
   std::vector<uint32_t> believed_primary_;  // per group, grown on demand
-  // Per-key read-your-writes watermarks. std::map for deterministic
-  // iteration.
-  std::map<std::vector<uint8_t>, Watermark> watermarks_;
+  // Per-key read-your-writes watermarks. Hashed: every reader takes a
+  // maximum or looks up one key, so the order never shows.
+  Watermarks watermarks_;
   std::shared_ptr<FlushState> flush_;
   ReliableSender sender_;
 };

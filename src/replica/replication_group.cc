@@ -112,7 +112,6 @@ Status ReplicationGroup::Load(std::span<const uint8_t> key,
     if (!status.ok()) {
       return status;
     }
-    rep->keys.insert(std::vector<uint8_t>(key.begin(), key.end()));
   }
   return Status::Ok();
 }
@@ -124,18 +123,14 @@ KvResultMessage ReplicationGroup::Execute(const KvOperation& op) {
 }
 
 Status ReplicationGroup::Erase(std::span<const uint8_t> key) {
-  KvOperation del;
-  del.opcode = Opcode::kDelete;
-  del.key.assign(key.begin(), key.end());
   for (const auto& rep : replicas_) {
     if (rep->crashed) {
       // Reconciled on restart — without this, a restarted replica would keep
       // a migrated-away key and resurrect it if the partition moved back.
-      rep->pending_state[del.key] = std::nullopt;
+      rep->pending_state[std::vector<uint8_t>(key.begin(), key.end())] = std::nullopt;
       continue;
     }
-    rep->server->Execute(del);  // kNotFound is fine: absent on this replica
-    rep->keys.erase(del.key);
+    (void)rep->server->index().Delete(key);  // kNotFound: absent on this replica
   }
   return Status::Ok();
 }
@@ -151,18 +146,12 @@ void ReplicationGroup::InstallSessionRecord(uint64_t sequence, uint16_t slot,
 
 std::vector<SnapshotKv> ReplicationGroup::SnapshotPartitionKvs(
     const KeyRouter& router, uint32_t partition) {
-  return SnapshotStream::Cut(*Primary().server, Primary().keys, &router,
-                             partition);
+  return SnapshotStream::Cut(*Primary().server, &router, partition);
 }
 
 std::vector<std::vector<uint8_t>> ReplicationGroup::PartitionKeys(
     const KeyRouter& router, uint32_t partition) const {
-  std::vector<std::vector<uint8_t>> keys;
-  for (const std::vector<uint8_t>* key :
-       SortedKeys(replicas_[primary_view_]->keys, &router, partition)) {
-    keys.push_back(*key);
-  }
-  return keys;
+  return SortedKeys(*replicas_[primary_view_]->server, &router, partition);
 }
 
 std::vector<SessionRecord> ReplicationGroup::ExportPartitionSessions(
@@ -222,13 +211,8 @@ void ReplicationGroup::RestartReplica(uint32_t id) {
     if (value.has_value()) {
       KVD_CHECK_MSG(rep.server->Load(key, *value).ok(),
                     "restart reconciliation out of capacity");
-      rep.keys.insert(key);
     } else {
-      KvOperation del;
-      del.opcode = Opcode::kDelete;
-      del.key = key;
-      rep.server->Execute(del);  // kNotFound is fine: never present here
-      rep.keys.erase(key);
+      (void)rep.server->index().Delete(key);  // kNotFound: never present here
     }
   }
   rep.pending_state.clear();
@@ -612,7 +596,6 @@ void ReplicationGroup::AppendEffectiveWrite(Replica& rep, uint64_t sequence,
   rep.match[rep.id] = rep.log.end();
   rep.next[rep.id] = rep.log.end() + 1;
   rep.applied = rep.log.end();  // execute-then-log: effects already in store
-  TrackKey(rep, rep.log.At(rep.log.end()).op);
   RecordSession(rep, sequence, slot, result);
   TrimLog(rep);
 }
@@ -637,17 +620,6 @@ void ReplicationGroup::RecordSession(Replica& rep, uint64_t sequence,
       rep.sessions.erase(rep.session_order.front());
       rep.session_order.pop_front();
     }
-  }
-}
-
-void ReplicationGroup::TrackKey(Replica& rep, const KvOperation& op) {
-  if (!IsWriteOpcode(op.opcode)) {
-    return;  // reads (and the promotion barrier no-op) leave no key behind
-  }
-  if (op.opcode == Opcode::kDelete) {
-    rep.keys.erase(op.key);
-  } else {
-    rep.keys.insert(op.key);
   }
 }
 
@@ -908,14 +880,8 @@ void ReplicationGroup::OnStateChunk(Replica& rep, ReplicaMessage& msg) {
   rep.incoming_sessions.insert(rep.incoming_sessions.end(),
                                std::make_move_iterator(msg.sessions.begin()),
                                std::make_move_iterator(msg.sessions.end()));
-  for (auto& [key, value] : msg.kvs) {
-    KvOperation put;
-    put.opcode = Opcode::kPut;
-    put.key = std::move(key);
-    put.value = std::move(value);
-    if (rep.server->Execute(put).code == ResultCode::kOk) {
-      rep.keys.insert(std::move(put.key));
-    }
+  for (const auto& [key, value] : msg.kvs) {
+    (void)rep.server->Load(key, value);
   }
   if ((msg.chunk_flags & kStateChunkLast) != 0) {
     for (const SessionRecord& record : rep.incoming_sessions) {
@@ -1117,7 +1083,6 @@ void ReplicationGroup::ApplyThrough(Replica& rep, uint64_t target) {
     // policy — dropping one would diverge this store from the log.
     rep.server->Submit(entry.op, [rp](KvResultMessage) { rp->inflight_ops--; },
                        OpClass::kControl);
-    TrackKey(rep, entry.op);
     if (entry.client_sequence != 0) {  // promotion barriers carry no session
       RecordSession(rep, entry.client_sequence, entry.slot, entry.result);
     }
@@ -1371,7 +1336,7 @@ void ReplicationGroup::BuildSnapshot(uint32_t primary_id, uint64_t transfer_epoc
   }
   const uint32_t target = primary.snapshot->destination();
   primary.snapshot->Start(
-      SnapshotStream::Pack(header, SnapshotStream::Cut(*primary.server, primary.keys),
+      SnapshotStream::Pack(header, SnapshotStream::Cut(*primary.server),
                            std::move(sessions), kStateTransferChunkKvs),
       [this, primary_id, target](const SnapshotChunk& chunk) {
         stats_.state_transfer_bytes += chunk.bytes.size();
@@ -1405,13 +1370,9 @@ void ReplicationGroup::ReleaseSnapshotDrain(Replica& rep) {
 }
 
 void ReplicationGroup::WipeState(Replica& rep) {
-  KvOperation del;
-  del.opcode = Opcode::kDelete;
-  for (const std::vector<uint8_t>* key : SortedKeys(rep.keys)) {
-    del.key = *key;
-    rep.server->Execute(del);
+  for (const std::vector<uint8_t>& key : SortedKeys(*rep.server)) {
+    (void)rep.server->index().Delete(key);
   }
-  rep.keys.clear();
   rep.sessions.clear();
   rep.session_order.clear();
   rep.incoming_sessions.clear();

@@ -391,11 +391,6 @@ class ReplicationGroup {
     uint32_t expected_chunk = 0;
     std::vector<SessionRecord> incoming_sessions;
 
-    // Shadow key set: the hash index has no enumeration, so the group tracks
-    // live keys per replica for snapshotting. Hashed, because every write on
-    // every replica touches it; sorted where it is iterated (SortedKeys).
-    KeySet keys;
-
     // Below-log state mutations (cluster Load/Erase) that arrived while this
     // replica was crashed: value = upsert, nullopt = erase. Applied on
     // restart, modeling recovery-time state reconciliation — a migration
@@ -456,7 +451,6 @@ class ReplicationGroup {
                             KvOperation op, const KvResultMessage& result);
   void RecordSession(Replica& rep, uint64_t sequence, uint16_t slot,
                      const KvResultMessage& result);
-  void TrackKey(Replica& rep, const KvOperation& op);
   void FinishResponse(Replica& rep, uint64_t sequence, GroupResponse response,
                       const std::function<void(std::vector<uint8_t>)>& respond,
                       bool cache);

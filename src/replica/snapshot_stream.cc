@@ -19,36 +19,28 @@ void MoveSlice(std::vector<T>& from, size_t first, size_t n, std::vector<T>& to)
 
 }  // namespace
 
-std::vector<const std::vector<uint8_t>*> SortedKeys(const KeySet& keys,
-                                                    const KeyRouter* router,
-                                                    uint32_t partition) {
-  std::vector<const std::vector<uint8_t>*> sorted;
-  sorted.reserve(router == nullptr ? keys.size() : 0);
-  for (const auto& key : keys) {
-    if (router == nullptr || router->PartitionOf(key) == partition) {
-      sorted.push_back(&key);
-    }
+std::vector<std::vector<uint8_t>> SortedKeys(KvDirectServer& server,
+                                             const KeyRouter* router,
+                                             uint32_t partition) {
+  std::vector<std::vector<uint8_t>> keys =
+      server.index().Keys(server.runtime().memory());
+  if (router != nullptr) {
+    std::erase_if(keys, [&](const std::vector<uint8_t>& key) {
+      return router->PartitionOf(key) != partition;
+    });
   }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const std::vector<uint8_t>* a, const std::vector<uint8_t>* b) {
-              return *a < *b;
-            });
-  return sorted;
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
 
 std::vector<SnapshotKv> SnapshotStream::Cut(KvDirectServer& server,
-                                            const KeySet& keys,
                                             const KeyRouter* router,
                                             uint32_t partition) {
   std::vector<SnapshotKv> kvs;
-  KvOperation get;
-  get.opcode = Opcode::kGet;
-  for (const std::vector<uint8_t>* key : SortedKeys(keys, router, partition)) {
-    get.key = *key;
-    KvResultMessage value = server.Execute(get);
-    if (value.code == ResultCode::kOk) {
-      kvs.emplace_back(*key, std::move(value.value));
-    }
+  for (std::vector<uint8_t>& key : SortedKeys(server, router, partition)) {
+    std::vector<uint8_t> value;
+    KVD_CHECK_MSG(server.index().Get(key, value).ok(), "a listed key must read back");
+    kvs.emplace_back(std::move(key), std::move(value));
   }
   return kvs;
 }

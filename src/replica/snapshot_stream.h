@@ -7,10 +7,8 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
-#include "src/common/hashing.h"
 #include "src/common/key_router.h"
 #include "src/core/kv_direct.h"
 #include "src/replica/replica_wire.h"
@@ -19,21 +17,11 @@ namespace kvd {
 
 using SnapshotKv = std::pair<std::vector<uint8_t>, std::vector<uint8_t>>;
 
-struct KeyBytesHash {
-  size_t operator()(const std::vector<uint8_t>& key) const {
-    return static_cast<size_t>(HashBytes(key));
-  }
-};
-// A replica's shadow key set (the hash index has no enumeration). Every
-// write touches it, so it is hashed; whoever iterates it goes through
-// SortedKeys, so snapshots and sweeps still run in key order.
-using KeySet = std::unordered_set<std::vector<uint8_t>, KeyBytesHash>;
-
-// The keys of `keys` in byte order; with a router, only those it maps to
-// `partition`.
-std::vector<const std::vector<uint8_t>*> SortedKeys(
-    const KeySet& keys, const KeyRouter* router = nullptr,
-    uint32_t partition = 0);
+// The keys stored on `server`, listed from its hash index, in byte order;
+// with a router, only those it maps to `partition`.
+std::vector<std::vector<uint8_t>> SortedKeys(KvDirectServer& server,
+                                             const KeyRouter* router = nullptr,
+                                             uint32_t partition = 0);
 
 struct SnapshotChunk {
   std::vector<uint8_t> bytes;  // sent as is; the pacer charges bytes.size()
@@ -42,9 +30,9 @@ struct SnapshotChunk {
 
 class SnapshotStream {
  public:
-  // The cut: the live KVs of `keys` on `server`, in key order; with a
-  // router, only those it maps to `partition`.
-  static std::vector<SnapshotKv> Cut(KvDirectServer& server, const KeySet& keys,
+  // The cut: the KVs stored on `server`, in key order; with a router, only
+  // those it maps to `partition`.
+  static std::vector<SnapshotKv> Cut(KvDirectServer& server,
                                      const KeyRouter* router = nullptr,
                                      uint32_t partition = 0);
 

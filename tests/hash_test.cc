@@ -1,8 +1,10 @@
 // Tests for the bucket layout and the chained hash index (paper §3.3.1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -250,7 +252,8 @@ TEST(HashIndexTest, UpdateInPlacePreservesSizeAndReturnsOriginal) {
   std::vector<uint8_t> original;
   ASSERT_TRUE(rig.index
                   .UpdateInPlace(
-                      key, [](std::vector<uint8_t>& v) { v[0] = 99; }, &original)
+                      key, HashKey(key), [](std::vector<uint8_t>& v) { v[0] = 99; },
+                      &original)
                   .ok());
   EXPECT_EQ(original, value);
   std::vector<uint8_t> out;
@@ -403,6 +406,78 @@ TEST(HashIndexTest, RandomizedAgainstReferenceMap) {
     ASSERT_TRUE(rig.index.Get(key, out).ok());
     EXPECT_EQ(out, value);
   }
+}
+
+TEST(HashIndexTest, KeysListsEveryStoredKeyWithoutAccesses) {
+  // 16 head buckets, so chains form; a 1 KiB class above the paper's 512 B
+  // slabs exercises the large-slab layout; a non-zero base offsets every
+  // address.
+  HashIndexConfig config;
+  config.memory_base = 4096;
+  config.memory_size = 2 * kMiB;
+  config.hash_index_ratio = 16.0 * 64 / (2 * kMiB);
+  config.inline_threshold_bytes = 16;
+  config.max_slab_bytes = 1024;
+  IndexRig rig(config);
+  ASSERT_EQ(rig.index.num_buckets(), 16u);
+  // Keys of 4..12 bytes. Value lengths: inline, inline or slab by key
+  // length, slab, slab, large slab.
+  const auto key_of = [](uint64_t id) { return MakeKey(id, 4 + id % 9); };
+  constexpr size_t kValueBytes[] = {2, 6, 40, 300, 700};
+  std::set<std::vector<uint8_t>> oracle;
+  const auto expect_keys_match = [&](const char* phase) {
+    const AccessStats accesses = rig.engine.stats();
+    const HashIndexStats before = rig.index.stats();
+    std::vector<std::vector<uint8_t>> keys = rig.index.Keys(rig.memory);
+    const AccessStats delta = rig.engine.stats() - accesses;
+    EXPECT_EQ(delta.total(), 0u) << phase;
+    EXPECT_EQ(delta.total_bytes(), 0u) << phase;
+    const HashIndexStats& after = rig.index.stats();
+    EXPECT_EQ(after.gets, before.gets) << phase;
+    EXPECT_EQ(after.puts, before.puts) << phase;
+    EXPECT_EQ(after.deletes, before.deletes) << phase;
+    EXPECT_EQ(after.chain_follows, before.chain_follows) << phase;
+    EXPECT_EQ(after.secondary_false_hits, before.secondary_false_hits) << phase;
+    EXPECT_EQ(after.chained_buckets_live, before.chained_buckets_live) << phase;
+    std::sort(keys.begin(), keys.end());
+    EXPECT_EQ(keys, std::vector<std::vector<uint8_t>>(oracle.begin(), oracle.end()))
+        << phase;
+  };
+  expect_keys_match("empty");
+
+  Rng rng(31);
+  constexpr uint64_t kKeys = 600;
+  for (uint64_t id = 0; id < kKeys; id++) {
+    ASSERT_TRUE(rig.index.Put(key_of(id), MakeValue(1, kValueBytes[id % 5])).ok());
+    oracle.insert(key_of(id));
+  }
+  const uint64_t chained_at_peak = rig.index.stats().chained_buckets_live;
+  ASSERT_GT(chained_at_peak, 20u);
+  expect_keys_match("filled");
+
+  // Overwrites that change shape: inline <-> slab and across slab classes.
+  for (uint64_t n = 0; n < 2000; n++) {
+    const uint64_t id = rng.NextBelow(kKeys);
+    ASSERT_TRUE(
+        rig.index.Put(key_of(id), MakeValue(2, kValueBytes[rng.NextBelow(5)])).ok());
+  }
+  expect_keys_match("overwritten");
+
+  // Deleting most keys empties chained buckets, which are unlinked.
+  for (uint64_t id = 0; id < kKeys; id++) {
+    if (id % 7 != 0) {
+      ASSERT_TRUE(rig.index.Delete(key_of(id)).ok());
+      oracle.erase(key_of(id));
+    }
+  }
+  EXPECT_LT(rig.index.stats().chained_buckets_live, chained_at_peak / 2);
+  expect_keys_match("mostly deleted");
+
+  for (uint64_t id = 0; id < kKeys; id += 7) {
+    ASSERT_TRUE(rig.index.Delete(key_of(id)).ok());
+    oracle.erase(key_of(id));
+  }
+  expect_keys_match("all deleted");
 }
 
 // Parameterized sweep: round trip across the inline/non-inline boundary.

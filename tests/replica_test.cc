@@ -1047,6 +1047,125 @@ TEST(ReplicationGroupTest, StateTransferCompletesUnderSustainedWriteLoad) {
   }
 }
 
+// Cuts, partition key lists and wipes list the replica's hash index
+// (DESIGN.md §9), so they name exactly the stored keys, whichever path stored
+// them: client writes, below-log Load/Erase queued while a replica was down
+// and applied on restart, or state-chunk installs. A write that failed on an
+// absent key stores nothing and must not appear.
+TEST(ReplicationGroupTest, SnapshotCutsListExactlyTheLiveKeys) {
+  ReplicationConfig config = SmallGroupConfig();
+  config.max_log_entries = 8;  // each restart below needs a state transfer
+  ReplicationGroup group(config);
+  Simulator& sim = group.simulator();
+  ReplicatedClient client(group);
+  std::map<std::vector<uint8_t>, std::vector<uint8_t>> live;
+  const auto write = [&](std::vector<KvOperation> ops, ResultCode expected) {
+    for (KvOperation& op : ops) {
+      if (expected == ResultCode::kOk && op.opcode == Opcode::kPut) {
+        live[op.key] = op.value;
+      } else if (expected == ResultCode::kOk) {
+        live.erase(op.key);
+      }
+      client.Enqueue(std::move(op));
+    }
+    for (const KvResultMessage& r : client.Flush()) {
+      ASSERT_EQ(r.code, expected);
+    }
+  };
+  const auto puts = [](uint64_t first, uint64_t last, uint64_t base) {
+    std::vector<KvOperation> ops;
+    for (uint64_t id = first; id < last; id++) {
+      ops.push_back(Put(id, base + id));
+    }
+    return ops;
+  };
+  const auto deletes = [](uint64_t first, uint64_t last) {
+    std::vector<KvOperation> ops;
+    for (uint64_t id = first; id < last; id++) {
+      KvOperation del;
+      del.opcode = Opcode::kDelete;
+      del.key = Key(id);
+      ops.push_back(std::move(del));
+    }
+    return ops;
+  };
+  const auto keys_of = [](const auto& kvs) {
+    std::vector<std::vector<uint8_t>> keys;
+    for (const auto& [key, value] : kvs) {
+      keys.push_back(key);
+    }
+    return keys;
+  };
+
+  write(puts(0, 100, 0), ResultCode::kOk);
+  write(deletes(0, 10), ResultCode::kOk);
+  write(puts(10, 20, 500), ResultCode::kOk);
+  // Failed writes on absent keys: a fetch-add and a delete.
+  std::vector<KvOperation> absent = deletes(1005, 1010);
+  for (uint64_t id = 1000; id < 1005; id++) {
+    KvOperation add;
+    add.opcode = Opcode::kUpdateScalar;
+    add.key = Key(id);
+    add.param = 1;
+    add.function_id = kFnAddU64;
+    absent.push_back(std::move(add));
+  }
+  write(std::move(absent), ResultCode::kNotFound);
+  RunFor(sim, 2 * kMillisecond);  // the backups apply everything
+
+  // Down, replica 2 misses a trimmed stretch of the log and queues two
+  // below-log mutations, which it applies on restart before resyncing.
+  group.CrashReplica(2);
+  std::map<std::vector<uint8_t>, std::vector<uint8_t>> on_restart = live;
+  write(puts(100, 300, 0), ResultCode::kOk);
+  write(deletes(20, 30), ResultCode::kOk);
+  ASSERT_TRUE(group.Load(Key(900), U64Value(9)).ok());
+  ASSERT_TRUE(group.Erase(Key(30)).ok());
+  live[Key(900)] = U64Value(9);
+  live.erase(Key(30));
+  on_restart[Key(900)] = U64Value(9);
+  on_restart.erase(Key(30));
+  ASSERT_NE(on_restart.size(), 64u);
+  group.RestartReplica(2);
+  EXPECT_EQ(SortedKeys(group.replica(2)), keys_of(on_restart));
+
+  // The resync wipes the store and installs 64 KVs per chunk. A crash
+  // between chunks wipes the partial snapshot.
+  const SimTime give_up = sim.Now() + 30 * kMillisecond;
+  while (group.replica(2).index().num_kvs() != 64 && sim.Now() < give_up) {
+    ASSERT_TRUE(sim.Step());
+  }
+  ASSERT_EQ(group.replica(2).index().num_kvs(), 64u);
+  ASSERT_GE(group.stats().state_transfers, 1u);
+  group.CrashReplica(2);
+  EXPECT_EQ(group.replica(2).index().num_kvs(), 0u);
+  EXPECT_EQ(group.replica(2).index().payload_bytes(), 0u);
+  EXPECT_TRUE(SortedKeys(group.replica(2)).empty());
+
+  write(puts(300, 310, 0), ResultCode::kOk);
+  group.RestartReplica(2);
+  RunFor(sim, 30 * kMillisecond);
+  ASSERT_EQ(group.log_end(2), group.log_end(group.primary_id()));
+
+  const std::vector<SnapshotKv> all(live.begin(), live.end());
+  for (uint32_t id = 0; id < group.num_replicas(); id++) {
+    EXPECT_EQ(SnapshotStream::Cut(group.replica(id)), all) << "replica " << id;
+  }
+  const KeyRouter router(4);
+  for (uint32_t partition = 0; partition < router.num_partitions(); partition++) {
+    std::vector<SnapshotKv> owned;
+    for (const SnapshotKv& kv : all) {
+      if (router.PartitionOf(kv.first) == partition) {
+        owned.push_back(kv);
+      }
+    }
+    EXPECT_EQ(group.SnapshotPartitionKvs(router, partition), owned)
+        << "partition " << partition;
+    EXPECT_EQ(group.PartitionKeys(router, partition), keys_of(owned))
+        << "partition " << partition;
+  }
+}
+
 TEST(ReplicationGroupTest, StateTransferTargetDedupsPreSnapshotRetransmit) {
   // A replica that rejoined by state transfer must still answer a
   // retransmission of a write it never saw as a log entry: the snapshot has
